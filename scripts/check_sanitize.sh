@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Builds the tree under sanitizers (the CALLIOPE_SANITIZE cmake option) and
-# runs the full tier-1 ctest suite under them. Usage:
+# Builds the tree under sanitizers (the CALLIOPE_SANITIZE cmake option), with
+# warnings as errors (CALLIOPE_WERROR), and runs the full tier-1 ctest suite
+# under them. Usage:
 #
 #   scripts/check_sanitize.sh [--tsan] [build-dir] [extra ctest args...]
 #
@@ -25,7 +26,8 @@ shift || true
 
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCALLIOPE_SANITIZE="${SANITIZERS}"
+  -DCALLIOPE_SANITIZE="${SANITIZERS}" \
+  -DCALLIOPE_WERROR=ON
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
 
 # halt_on_error so ctest fails loudly instead of logging and limping on.

@@ -244,6 +244,7 @@ Result<MsuFile*> MsuFileSystem::InstallImage(const std::string& name, IbTreeFile
                                              bool striped, int preferred_disk) {
   const Bytes size = kDataPageSize * static_cast<int64_t>(image.page_count());
   CALLIOPE_ASSIGN_OR_RETURN(MsuFile * file, Create(name, size, striped, preferred_disk));
+  file->blocks_.reserve(image.page_count());  // exact: an installed image never grows
   for (size_t i = 0; i < image.page_count(); ++i) {
     auto addr = AllocateForPage(file, static_cast<int64_t>(i));
     if (!addr.ok()) {

@@ -333,6 +333,9 @@ IbTreeFile IbTreeBuilder::Finish() {
   }
   file_.root_ = std::move(levels_.back());
   file_.height_ = static_cast<int>(levels_.size());
+  // The sealed image never grows again: drop push_back's capacity slack.
+  // (The early return above only sees an image with no pages.)
+  file_.pages_.shrink_to_fit();
   return std::move(file_);
 }
 

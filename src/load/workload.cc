@@ -197,12 +197,12 @@ Task WorkloadDriver::ArrivalLoop() {
   arrivals_done_ = true;
 }
 
-void WorkloadDriver::NoteRefused(AdmissionClass klass, bool was_queued) {
+void WorkloadDriver::NoteRefused(AdmissionClass klass, bool after_submit) {
   const size_t idx = static_cast<size_t>(klass);
   if (idx < kAdmissionClassCount) {
     ++stats_.refused_by_class[idx];
   }
-  if (was_queued) {
+  if (after_submit) {
     ++stats_.failed;
     if (failed_metric_ != nullptr) {
       failed_metric_->Add();
@@ -256,7 +256,7 @@ Co<void> WorkloadDriver::RunPlaySession(CalliopeClient* client, const SessionPla
   ++stats_.submitted_by_class[idx];
   auto play = co_await client->Play(title, port_name, klass);
   if (!play.ok()) {
-    NoteRefused(klass, /*was_queued=*/false);
+    NoteRefused(klass, /*after_submit=*/false);
     co_return;
   }
   if (play->queued) {
@@ -268,8 +268,10 @@ Co<void> WorkloadDriver::RunPlaySession(CalliopeClient* client, const SessionPla
   const Status ready = co_await client->WaitForGroupReady(play->group, config_.ready_timeout);
   if (!ready.ok()) {
     // The queue shed or expired the request (explicit PendingRequestFailed),
-    // or the wait timed out; either way the viewer never saw a frame.
-    NoteRefused(klass, play->queued);
+    // or the wait timed out; either way the viewer never saw a frame. The
+    // submit itself succeeded — queued or not (a batched request the
+    // Coordinator parks later was told queued=false) — so this is a failure.
+    NoteRefused(klass, /*after_submit=*/true);
     co_return;
   }
   ++stats_.started;
@@ -333,7 +335,7 @@ Co<void> WorkloadDriver::RunRecorderSession(CalliopeClient* client, const Sessio
   auto record = co_await client->Record(name, "mpeg1", port_name,
                                         config_.recording_length + SimTime::Seconds(2), klass);
   if (!record.ok()) {
-    NoteRefused(klass, /*was_queued=*/false);
+    NoteRefused(klass, /*after_submit=*/false);
     co_return;
   }
   if (record->queued) {
@@ -344,7 +346,7 @@ Co<void> WorkloadDriver::RunRecorderSession(CalliopeClient* client, const Sessio
   }
   const Status ready = co_await client->WaitForGroupReady(record->group, config_.ready_timeout);
   if (!ready.ok()) {
-    NoteRefused(klass, record->queued);
+    NoteRefused(klass, /*after_submit=*/true);
     co_return;
   }
   ++stats_.started;

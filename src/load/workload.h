@@ -123,7 +123,7 @@ struct WorkloadStats {
   int64_t started = 0;         // requests that reached a served stream
   int64_t queued = 0;          // requests the Coordinator queued first
   int64_t rejected = 0;        // refused at submit (queue full / placement)
-  int64_t failed = 0;          // queued then explicitly failed (shed/expired)
+  int64_t failed = 0;          // accepted at submit, never started (shed/expired/timed out)
   int64_t finished = 0;        // sessions fully retired
   int64_t vcr_ops = 0;
   int64_t recordings = 0;
@@ -171,7 +171,9 @@ class WorkloadDriver {
                           const std::string& port_name);
   Co<void> RunRecorderSession(CalliopeClient* client, const SessionPlan& plan,
                               const std::string& port_name, int ordinal);
-  void NoteRefused(AdmissionClass klass, bool was_queued);
+  // A refusal at submit counts as rejected; one after an accepted submit (the
+  // ready wait failed or timed out) counts as failed.
+  void NoteRefused(AdmissionClass klass, bool after_submit);
 
   Installation* installation_;
   WorkloadConfig config_;

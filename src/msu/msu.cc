@@ -316,8 +316,10 @@ Task Msu::QuitStaleStreams(std::vector<StreamId> stale) {
   }
 }
 
-Co<void> Msu::EnsureControlConn(Group& group, std::string client_node, int control_port) {
-  if (group.control_conn != nullptr || control_port == 0) {
+Co<void> Msu::EnsureControlConn(GroupId group_id, std::string client_node, int control_port) {
+  auto group_it = groups_.find(group_id);
+  if (group_it == groups_.end() || group_it->second.control_conn != nullptr ||
+      control_port == 0) {
     co_return;
   }
   // "As soon as it is ready to deliver the content stream, the MSU
@@ -327,6 +329,14 @@ Co<void> Msu::EnsureControlConn(Group& group, std::string client_node, int contr
     CALLIOPE_LOG(kWarning, "msu") << "control conn failed: " << conn.status().ToString();
     co_return;
   }
+  // Re-find the group: a crash (or the stream ending) may have erased it
+  // while the connect was in flight, and then nothing owns the connection.
+  group_it = groups_.find(group_id);
+  if (group_it == groups_.end()) {
+    (*conn)->Close();
+    co_return;
+  }
+  Group& group = group_it->second;
   group.control_conn = *conn;
   group.control_conn->set_request_handler(
       [this](const MessageBody& body) -> Co<MessageBody> {
@@ -445,14 +455,14 @@ Co<MessageBody> Msu::HandleStartStream(MsuStartStream request) {
       group.streams.assign(1, raw->id());
       // Members always get their own control conns (`open_control_conn`
       // refers to the delivery stream, which the Coordinator owns silently).
-      co_await EnsureControlConn(group, member.client_node, member.client_control_port);
+      co_await EnsureControlConn(member.group, member.client_node, member.client_control_port);
     }
   } else {
     auto& group = groups_[request.group];
     group.id = request.group;
     group.streams.push_back(raw->id());
     if (request.open_control_conn) {
-      co_await EnsureControlConn(group, request.client_node, request.client_control_port);
+      co_await EnsureControlConn(request.group, request.client_node, request.client_control_port);
     }
   }
 

@@ -9,6 +9,8 @@
 #ifndef CALLIOPE_SRC_MSU_MSU_H_
 #define CALLIOPE_SRC_MSU_MSU_H_
 
+#include <array>
+#include <cassert>
 #include <deque>
 #include <functional>
 #include <map>
@@ -82,6 +84,31 @@ struct SharedMemberState {
   int64_t seq = 0;
   Bytes bytes_moved;
   int64_t packets_sent = 0;
+};
+
+// Double buffering (§2.3): the pages a stream's disk process has read ahead
+// of its network process, oldest first — at most two, the buffers admission
+// charged. A fixed two-slot ring, so a stream holds no heap node for them.
+class PageDoubleBuffer {
+ public:
+  bool empty() const { return count_ == 0; }
+  size_t size() const { return count_; }
+  const DataPage* front() const { return slots_[head_]; }
+  void push_back(const DataPage* page) {
+    assert(count_ < slots_.size());
+    slots_[(head_ + count_) % slots_.size()] = page;
+    ++count_;
+  }
+  void pop_front() {
+    head_ = (head_ + 1) % slots_.size();
+    --count_;
+  }
+  void clear() { count_ = 0; }
+
+ private:
+  std::array<const DataPage*, 2> slots_{};
+  size_t head_ = 0;
+  size_t count_ = 0;
 };
 
 // One active stream on an MSU (one member of a stream group).
@@ -206,7 +233,7 @@ class MsuStream {
   size_t next_page_to_read_ = 0;   // disk process cursor
   size_t play_page_ = 0;           // network process cursor
   size_t play_record_ = 0;
-  std::deque<const DataPage*> prefetched_;  // double buffering: at most 2
+  PageDoubleBuffer prefetched_;
   Condition buffers_changed_;
   // Wall-clock base: packet deadline = base_ + (delivery_offset - origin_).
   SimTime base_;
@@ -374,7 +401,10 @@ class Msu {
   // remembered host when no list is configured.
   std::string NextCoordinatorHost();
   Task QuitStaleStreams(std::vector<StreamId> stale);
-  Co<void> EnsureControlConn(Group& group, std::string client_node, int control_port);
+  // Dials the client's control port for `group_id` unless the group already
+  // has a control connection. Takes the id, not a Group&: groups_ may lose
+  // the entry (Crash) while the connect is in flight.
+  Co<void> EnsureControlConn(GroupId group_id, std::string client_node, int control_port);
   // Sends the per-member StreamGroupInfo that tells a client its group is
   // live on this MSU (used for solo groups and each shared member's group).
   Co<void> SendGroupInfo(Group& group);

@@ -22,8 +22,8 @@ MsuStream::MsuStream(Msu& msu, const MsuStartStream& request,
       client_udp_port_(request.client_udp_port),
       shared_(request.shared),
       from_cache_(request.from_cache),
-      buffers_changed_(msu.sim()),
       fanout_settled_(msu.sim()),
+      buffers_changed_(msu.sim()),
       last_interesting_(msu.sim().Now()),  // admission is an interesting moment
       record_pages_ready_(msu.sim()),
       start_time_(msu.sim().Now()) {
@@ -264,11 +264,15 @@ Task MsuStream::PlaybackLoop() {
             route.to_control_port ? member->client_udp_port + 1 : member->client_udp_port;
         const bool sent_ok =
             co_await msu_->node().SendUdp(dst, port, record.size, std::move(payload));
+        member = FindMemberByStream(target);
         if (state_ != State::kRunning || position_gen_ != gen_before) {
+          // The datagram is already on the wire with this sequence number.
+          if (member != nullptr) {
+            ++member->seq;
+          }
           interrupted = true;
           break;
         }
-        member = FindMemberByStream(target);
         if (member != nullptr) {
           ++member->seq;
           member->bytes_moved += record.size;
@@ -295,6 +299,7 @@ Task MsuStream::PlaybackLoop() {
       const bool sent_ok =
           co_await msu_->node().SendUdp(client_node_, port, record.size, std::move(payload));
       if (state_ != State::kRunning || position_gen_ != gen_before) {
+        ++send_seq_;  // the datagram is already on the wire with this number
         continue;
       }
       if (!sent_ok) {

@@ -61,8 +61,13 @@ Co<Result<Envelope>> TcpConn::Call(MessageArg body, SimTime timeout) {
   const char* rpc_name = MessageName(body.value);
   const SimTime rpc_start = network_->sim().Now();
   const uint64_t id = next_rpc_id_++;
-  auto pending = std::make_shared<PendingCall>(network_->sim());
-  pending_calls_[id] = pending;
+  // The connection (and the timeout event) own the pending call; this frame
+  // only borrows it. The call's Condition owns this frame while it waits, so
+  // an owning reference here would be a cycle: a call still waiting when the
+  // connection is torn down would never be freed.
+  std::shared_ptr<PendingCall>& slot = pending_calls_[id];
+  slot = std::make_shared<PendingCall>(network_->sim());
+  PendingCall* pending = slot.get();
 
   Envelope request_envelope{id, false, std::move(body.value)};
   const Status sent = co_await SendInternal(std::move(request_envelope), false);
@@ -72,15 +77,18 @@ Co<Result<Envelope>> TcpConn::Call(MessageArg body, SimTime timeout) {
     co_return Result<Envelope>(sent);
   }
   EventToken timer = network_->sim().ScheduleCancelableAt(
-      network_->sim().Now() + timeout, [pending] {
-        pending->failed = true;
-        pending->cond.NotifyAll();
+      network_->sim().Now() + timeout, [call = pending_calls_.at(id)] {
+        call->failed = true;
+        call->cond.NotifyAll();
       });
   while (pending->result == nullptr && !pending->failed) {
     co_await pending->cond.Wait();
   }
   timer.Cancel();
+  // Awake again: take the call back from the connection before reading it.
+  const std::shared_ptr<PendingCall> done = std::move(pending_calls_.at(id));
   pending_calls_.erase(id);
+  pending = done.get();
   if (pending->result != nullptr) {
     TraceRpc(rpc_name, rpc_start, "ok");
     co_return Result<Envelope>(std::move(*pending->result));

@@ -64,7 +64,10 @@ class LatenessHistogram {
  public:
   // Bins are `bin_width` wide, covering [0, bin_width * bin_count); samples
   // beyond the last bin land in an overflow bin, samples below zero (early
-  // packets) in an underflow bin.
+  // packets) in an underflow bin. `bin_count` is the logical range only:
+  // storage grows in fixed steps up to the highest bin recorded, so a
+  // histogram that never records past bin k holds about k counters, and bins
+  // never allocated read as zero in every query.
   explicit LatenessHistogram(SimTime bin_width = SimTime::Millis(1), size_t bin_count = 1000);
 
   void Record(SimTime lateness);
@@ -106,8 +109,18 @@ class LatenessHistogram {
   std::string ToAsciiCdf(const std::string& label, size_t rows = 16) const;
 
  private:
+  // Fixed, not geometric: lateness has one long tail, and doubling would
+  // leave about a third of a grown histogram's counters unused.
+  static constexpr size_t kGrowthStep = 64;
+
+  // Grows storage to cover bins [0, used), rounded up to kGrowthStep and
+  // capped at bin_count_, allocating exactly that many counters.
+  void Grow(size_t used);
+  int64_t BinAt(size_t i) const { return i < bins_.size() ? bins_[i] : 0; }
+
   SimTime bin_width_;
-  std::vector<int64_t> bins_;
+  size_t bin_count_;
+  std::vector<int64_t> bins_;  // bins past bins_.size() are zero
   int64_t underflow_ = 0;
   int64_t overflow_ = 0;
   int64_t total_ = 0;

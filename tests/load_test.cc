@@ -276,6 +276,48 @@ TEST(LoadTest, FullClassQueueRejectsNewestExplicitly) {
       cluster.installation().metrics().counter("coord.admission.bulk.shed").value(), 1);
 }
 
+// Regression: with sharing on, every eligible request is batched and the
+// client told queued=false; when the batch cannot be placed the Coordinator
+// parks its requests in the pending queue (StartSharedGroup's degraded exit).
+// A parked request whose ready wait then timed out was booked as a submit
+// refusal (load.requests.rejected). It was accepted at submit and never
+// started, so it is a failure (load.requests.failed).
+TEST(LoadTest, ReadyTimeoutAfterAcceptedSubmitCountsAsFailed) {
+  InstallationConfig config;
+  config.msu_count = 1;
+  config.msu_machine.disks_per_hba = {1};
+  config.coordinator.disk_budget = DataRate::MegabytesPerSec(0.2);  // one viewer fits
+  config.coordinator.sharing.enabled = true;
+  TestCluster cluster(config);
+  ASSERT_TRUE(cluster.Boot().ok());
+
+  WorkloadConfig workload;
+  workload.seed = 5;
+  workload.titles = 2;
+  workload.archive_titles = 0;
+  workload.client_hosts = 1;
+  workload.mix.viewer = 1;
+  workload.mix.surfer = 0;
+  workload.mix.archive = 0;
+  workload.mix.recorder = 0;
+  workload.phases = {WorkloadPhase(SimTime::Seconds(6), 1.0)};
+  workload.viewer_hold_mean = SimTime::Seconds(20);
+  workload.ready_timeout = SimTime::Seconds(3);
+  WorkloadDriver driver(cluster.installation(), workload);
+  ASSERT_TRUE(driver.Prepare().ok());
+  driver.Start();
+  ASSERT_TRUE(RunUntil(cluster.sim(), [&] { return driver.done(); }, SimTime::Seconds(120)));
+
+  const WorkloadStats& stats = driver.stats();
+  EXPECT_GT(stats.started, 0);
+  EXPECT_GT(stats.failed, 0);
+  EXPECT_EQ(stats.rejected, 0);
+  EXPECT_EQ(stats.started + stats.failed, stats.arrivals);
+  MetricsRegistry& metrics = cluster.installation().metrics();
+  EXPECT_EQ(metrics.counter("load.requests.failed").value(), stats.failed);
+  EXPECT_EQ(metrics.counter("load.requests.rejected").value(), 0);
+}
+
 // ---- chaos composition: workload generator x random faults ------------------
 
 struct LoadChaosResult {

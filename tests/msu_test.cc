@@ -333,6 +333,29 @@ TEST(MsuTest, CrashStopsStreamsAndRestartKeepsContent) {
   EXPECT_TRUE(fx.msu->fs().Lookup("movie").ok());
 }
 
+// Regression: Crash() cleared groups_ while HandleStartStream was suspended
+// in the client control connect; when the connect completed it wrote the new
+// connection into the freed Group (heap-use-after-free under ASan).
+TEST(MsuTest, CrashDuringControlConnectDropsTheConnection) {
+  MsuFixture fx;
+  fx.InstallCbr("movie", SimTime::Seconds(30), 0);
+  (void)fx.client_node->BindUdp(9000, [](const Datagram&) {});
+  TcpConn* accepted = nullptr;
+  ASSERT_TRUE(fx.client_node->ListenTcp(9001, [&](TcpConn* conn) { accepted = conn; }).ok());
+  MsuStartStream request = fx.PlayRequest("movie", 1, 1);
+  request.open_control_conn = true;
+  request.client_control_port = 9001;
+  CoResult<MessageBody> response;
+  Collect(fx.msu->HandleStartStream(request), &response);
+  ASSERT_FALSE(response.done());  // suspended in the control connect
+  fx.msu->Crash();
+  ASSERT_TRUE(RunUntil(fx.sim, [&] { return response.done(); }, SimTime::Seconds(5)));
+  // The handshake was already on the wire, so the connect completed after the
+  // crash had erased the group it was dialed for.
+  EXPECT_NE(accepted, nullptr);
+  EXPECT_EQ(fx.msu->active_stream_count(), 0);
+}
+
 TEST(MsuTest, UnknownProtocolRefused) {
   MsuFixture fx;
   fx.InstallCbr("movie", SimTime::Seconds(10), 0);

@@ -227,6 +227,75 @@ TEST(SharingTest, VcrSplitDeliversSameBytesAsSoloStream) {
   EXPECT_EQ(cluster.coordinator().ledger().outstanding_holds(), 0u);
 }
 
+// Pauses `stream` at a sweep of instants just after each resume. A resumed
+// stream sends its first packet at once, so the sweep lands pauses before,
+// during and after that send: some arrive while SendUdp is in flight.
+void PauseAcrossFirstSend(Simulator& sim, MsuStream& stream) {
+  for (int i = 0; i < 60; ++i) {
+    sim.RunFor(SimTime::Micros(25 * i));
+    ASSERT_TRUE(stream.Pause().ok());
+    sim.RunFor(SimTime::Millis(2));
+    ASSERT_TRUE(stream.Resume().ok());
+  }
+}
+
+MsuStream* FindLiveStream(Msu& msu, bool shared) {
+  StreamId id = 0;
+  msu.ForEachStream([&](const MsuStream& stream, bool finished) {
+    if (!finished && stream.shared() == shared) {
+      id = stream.id();
+    }
+  });
+  return id == 0 ? nullptr : msu.FindStream(id);
+}
+
+// Regression: a VCR op landing while a media datagram was in flight made the
+// playback loop skip the sequence-number advance (solo: the send_seq_
+// increment; shared fan-out: the member's seq), so the next datagram reused
+// the number already on the wire and the client counted it out of order.
+TEST(SharingTest, VcrOpDuringSendKeepsSequenceNumbersFresh) {
+  {
+    InstallationConfig config;
+    config.msu_count = 1;
+    TestCluster cluster(config);
+    ASSERT_TRUE(cluster.Boot().ok());
+    ASSERT_TRUE(
+        cluster.installation().LoadMpegMovie("m0", SimTime::Seconds(10), 0, false).ok());
+    auto client = cluster.AddConnectedClient("c");
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(PlayOn(cluster.sim(), **client, "m0", "tv").ok());
+    cluster.sim().RunFor(SimTime::Seconds(1));
+    MsuStream* solo = FindLiveStream(cluster.msu(0), /*shared=*/false);
+    ASSERT_NE(solo, nullptr);
+    PauseAcrossFirstSend(cluster.sim(), *solo);
+    cluster.sim().RunFor(SimTime::Seconds(1));
+    ClientDisplayPort* port = (*client)->FindPort("tv");
+    ASSERT_NE(port, nullptr);
+    EXPECT_GT(port->packets_received(), 0);
+    EXPECT_EQ(port->out_of_order(), 0);
+  }
+
+  TestCluster cluster(SharingConfigFor(1));
+  ASSERT_TRUE(cluster.Boot().ok());
+  ASSERT_TRUE(cluster.installation().LoadMpegMovie("m0", SimTime::Seconds(10), 0, false).ok());
+  auto client = cluster.AddConnectedClient("c");
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(PlayOn(cluster.sim(), **client, "m0", "tv0").ok());
+  ASSERT_TRUE(PlayOn(cluster.sim(), **client, "m0", "tv1").ok());
+  cluster.sim().RunFor(SimTime::Seconds(2));
+  MsuStream* shared = FindLiveStream(cluster.msu(0), /*shared=*/true);
+  ASSERT_NE(shared, nullptr);
+  ASSERT_EQ(shared->members().size(), 2u);
+  PauseAcrossFirstSend(cluster.sim(), *shared);
+  cluster.sim().RunFor(SimTime::Seconds(1));
+  for (const char* name : {"tv0", "tv1"}) {
+    ClientDisplayPort* port = (*client)->FindPort(name);
+    ASSERT_NE(port, nullptr);
+    EXPECT_GT(port->packets_received(), 0) << name;
+    EXPECT_EQ(port->out_of_order(), 0) << name;
+  }
+}
+
 // Crash the MSU serving a shared delivery group mid-play (chaos for the
 // cache-memory ledger column): members fail over individually as unique
 // streams on the replica holder, the delivery stream's disk hold and every

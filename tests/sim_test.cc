@@ -71,6 +71,7 @@ TEST(SimulatorTest, StaleTokenCancelDoesNotKillSlotReuser) {
   sim.Run();
   EXPECT_TRUE(first_fired);
   EventToken reuser = sim.ScheduleCancelableAt(SimTime::Millis(2), [&] { second_fired = true; });
+  EXPECT_TRUE(reuser.valid());
   stale.Cancel();
   sim.Run();
   EXPECT_TRUE(second_fired);
