@@ -2,11 +2,38 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "src/util/logging.h"
 
 namespace calliope {
+namespace {
+
+// The queue policy is fixed once, here: with traffic control off every class
+// shares one FIFO with no cap and the default deadline.
+AdmissionQueue::Policies QueuePolicies(const CoordinatorParams& params) {
+  if (!params.traffic.enabled) {
+    return AdmissionQueue::OneClass(params.pending_deadline);
+  }
+  // Indexed by AdmissionClass value, which is also the retry rank.
+  const TrafficControlConfig& t = params.traffic;
+  const int caps[] = {t.interactive_queue_cap, t.standard_queue_cap, t.bulk_queue_cap};
+  const SimTime deadlines[] = {t.interactive_deadline, t.standard_deadline, t.bulk_deadline};
+  AdmissionQueue::Policies policies;
+  for (int c = 0; c < kAdmissionClassCount; ++c) {
+    policies[c] = {c, caps[c], deadlines[c] > SimTime() ? deadlines[c] : params.pending_deadline};
+  }
+  return policies;
+}
+
+// One class's entry of a per-class counter array (null when not attached).
+Counter* ForClass(Counter* const (&counters)[kAdmissionClassCount], AdmissionClass klass) {
+  const size_t index = static_cast<size_t>(klass);
+  return index < kAdmissionClassCount ? counters[index] : nullptr;
+}
+
+}  // namespace
 
 Coordinator::Coordinator(Machine& machine, NetNode& node, Catalog catalog,
                          CoordinatorParams params)
@@ -15,7 +42,11 @@ Coordinator::Coordinator(Machine& machine, NetNode& node, Catalog catalog,
 
 Coordinator::Coordinator(Machine& machine, NetNode& node, std::shared_ptr<Catalog> catalog,
                          CoordinatorParams params)
-    : machine_(&machine), node_(&node), params_(params), catalog_(std::move(catalog)) {
+    : machine_(&machine),
+      node_(&node),
+      params_(params),
+      catalog_(std::move(catalog)),
+      queue_(QueuePolicies(params_)) {
   const PlacementPolicyRegistry registry = PlacementPolicyRegistry::WithBuiltins();
   auto policy = registry.Instantiate(params_.placement_policy, params_.placement_seed);
   if (!policy.ok()) {
@@ -36,12 +67,8 @@ Coordinator::Coordinator(Machine& machine, NetNode& node, std::shared_ptr<Catalo
   if (params_.ha.enabled) {
     StartHa();
   }
-  if (params_.rebalance.enabled) {
-    RebalanceLoop();
-  }
-  if (params_.traffic.enabled) {
-    ShedGovernorLoop();
-  }
+  RebalanceLoop();     // no-op unless rebalancing is on
+  ShedGovernorLoop();  // no-op unless traffic control is on
 }
 
 void Coordinator::AttachObservability(MetricsRegistry* metrics, TraceRecorder* trace,
@@ -50,38 +77,8 @@ void Coordinator::AttachObservability(MetricsRegistry* metrics, TraceRecorder* t
   trace_ = trace;
   metrics_prefix_ = std::move(prefix);
   trace_track_ = metrics_prefix_ == "coord" ? "coordinator" : metrics_prefix_;
+  obs_ = Instruments();
   if (metrics_ == nullptr) {
-    admit_accepted_ = nullptr;
-    admit_rejected_ = nullptr;
-    admit_queued_ = nullptr;
-    failover_groups_ = nullptr;
-    groups_formed_ = nullptr;
-    groups_members_ = nullptr;
-    groups_attaches_ = nullptr;
-    groups_splits_ = nullptr;
-    recordings_lost_ = nullptr;
-    requests_lost_metric_ = nullptr;
-    takeovers_metric_ = nullptr;
-    repl_batches_ = nullptr;
-    repl_records_shipped_ = nullptr;
-    takeover_gap_us_ = nullptr;
-    rebalance_ticks_ = nullptr;
-    rebalance_copies_started_ = nullptr;
-    rebalance_copies_installed_ = nullptr;
-    rebalance_copies_aborted_ = nullptr;
-    rebalance_preemptions_ = nullptr;
-    rebalance_demotions_ = nullptr;
-    requests_expired_metric_ = nullptr;
-    for (int c = 0; c < kAdmissionClassCount; ++c) {
-      class_accepted_[c] = nullptr;
-      class_queued_[c] = nullptr;
-      class_shed_[c] = nullptr;
-      class_expired_[c] = nullptr;
-    }
-    shed_episodes_ = nullptr;
-    shed_rejected_ = nullptr;
-    shed_degraded_ = nullptr;
-    shed_rebalance_paused_ = nullptr;
     return;
   }
   if (sharing_disabled_ha_) {
@@ -89,19 +86,19 @@ void Coordinator::AttachObservability(MetricsRegistry* metrics, TraceRecorder* t
     // explicit in the metrics instead of silently serving unique streams.
     metrics_->counter(metrics_prefix_ + ".sharing.disabled_ha").Add();
   }
-  admit_accepted_ = &metrics_->counter(metrics_prefix_ + ".admissions.accepted");
-  admit_rejected_ = &metrics_->counter(metrics_prefix_ + ".admissions.rejected");
-  admit_queued_ = &metrics_->counter(metrics_prefix_ + ".admissions.queued");
-  requests_expired_metric_ = &metrics_->counter(metrics_prefix_ + ".requests.expired");
-  failover_groups_ = &metrics_->counter(metrics_prefix_ + ".failover.groups");
-  recordings_lost_ = &metrics_->counter(metrics_prefix_ + ".failover.recordings_lost");
-  requests_lost_metric_ = &metrics_->counter(metrics_prefix_ + ".requests_lost");
+  obs_.admit_accepted = &metrics_->counter(metrics_prefix_ + ".admissions.accepted");
+  obs_.admit_rejected = &metrics_->counter(metrics_prefix_ + ".admissions.rejected");
+  obs_.admit_queued = &metrics_->counter(metrics_prefix_ + ".admissions.queued");
+  obs_.requests_expired = &metrics_->counter(metrics_prefix_ + ".requests.expired");
+  obs_.failover_groups = &metrics_->counter(metrics_prefix_ + ".failover.groups");
+  obs_.recordings_lost = &metrics_->counter(metrics_prefix_ + ".failover.recordings_lost");
+  obs_.requests_lost = &metrics_->counter(metrics_prefix_ + ".requests_lost");
   // Monotonic tally: published as a counter so per-window deltas read as a
   // request rate (the gauge shape it shipped with made deltas meaningless).
   metrics_->SetCounterCallback(metrics_prefix_ + ".requests.handled",
                                [this] { return requests_handled_; });
   metrics_->SetGaugeCallback(metrics_prefix_ + ".pending.depth",
-                             [this] { return static_cast<int64_t>(pending_.size()); });
+                             [this] { return static_cast<int64_t>(queue_.size()); });
   metrics_->SetGaugeCallback(metrics_prefix_ + ".streams.active",
                              [this] { return static_cast<int64_t>(active_streams_.size()); });
   metrics_->SetGaugeCallback(metrics_prefix_ + ".msus.up", [this] {
@@ -114,10 +111,10 @@ void Coordinator::AttachObservability(MetricsRegistry* metrics, TraceRecorder* t
     return up;
   });
   if (params_.sharing.enabled) {
-    groups_formed_ = &metrics_->counter(metrics_prefix_ + ".groups.formed");
-    groups_members_ = &metrics_->counter(metrics_prefix_ + ".groups.members");
-    groups_attaches_ = &metrics_->counter(metrics_prefix_ + ".groups.attaches");
-    groups_splits_ = &metrics_->counter(metrics_prefix_ + ".groups.splits");
+    obs_.groups_formed = &metrics_->counter(metrics_prefix_ + ".groups.formed");
+    obs_.groups_members = &metrics_->counter(metrics_prefix_ + ".groups.members");
+    obs_.groups_attaches = &metrics_->counter(metrics_prefix_ + ".groups.attaches");
+    obs_.groups_splits = &metrics_->counter(metrics_prefix_ + ".groups.splits");
     metrics_->SetGaugeCallback(metrics_prefix_ + ".groups.active", [this] {
       return static_cast<int64_t>(shared_groups_.size());
     });
@@ -132,10 +129,10 @@ void Coordinator::AttachObservability(MetricsRegistry* metrics, TraceRecorder* t
     });
   }
   if (params_.ha.enabled) {
-    takeovers_metric_ = &metrics_->counter(metrics_prefix_ + ".ha.takeovers");
-    repl_batches_ = &metrics_->counter(metrics_prefix_ + ".repl.batches");
-    repl_records_shipped_ = &metrics_->counter(metrics_prefix_ + ".repl.records_shipped");
-    takeover_gap_us_ = &metrics_->histogram(metrics_prefix_ + ".ha.takeover_gap_us");
+    obs_.takeovers = &metrics_->counter(metrics_prefix_ + ".ha.takeovers");
+    obs_.repl_batches = &metrics_->counter(metrics_prefix_ + ".repl.batches");
+    obs_.repl_records_shipped = &metrics_->counter(metrics_prefix_ + ".repl.records_shipped");
+    obs_.takeover_gap_us = &metrics_->histogram(metrics_prefix_ + ".ha.takeover_gap_us");
     metrics_->SetGaugeCallback(metrics_prefix_ + ".ha.epoch", [this] { return epoch_; });
     metrics_->SetGaugeCallback(metrics_prefix_ + ".ha.role", [this] {
       return static_cast<int64_t>(role_ == HaRole::kPrimary ? 1 : 0);
@@ -147,13 +144,15 @@ void Coordinator::AttachObservability(MetricsRegistry* metrics, TraceRecorder* t
     });
   }
   if (params_.rebalance.enabled) {
-    rebalance_ticks_ = &metrics_->counter(metrics_prefix_ + ".rebalance.ticks");
-    rebalance_copies_started_ = &metrics_->counter(metrics_prefix_ + ".rebalance.copies_started");
-    rebalance_copies_installed_ =
+    obs_.rebalance_ticks = &metrics_->counter(metrics_prefix_ + ".rebalance.ticks");
+    obs_.rebalance_copies_started =
+        &metrics_->counter(metrics_prefix_ + ".rebalance.copies_started");
+    obs_.rebalance_copies_installed =
         &metrics_->counter(metrics_prefix_ + ".rebalance.copies_installed");
-    rebalance_copies_aborted_ = &metrics_->counter(metrics_prefix_ + ".rebalance.copies_aborted");
-    rebalance_preemptions_ = &metrics_->counter(metrics_prefix_ + ".rebalance.preemptions");
-    rebalance_demotions_ = &metrics_->counter(metrics_prefix_ + ".rebalance.demotions");
+    obs_.rebalance_copies_aborted =
+        &metrics_->counter(metrics_prefix_ + ".rebalance.copies_aborted");
+    obs_.rebalance_preemptions = &metrics_->counter(metrics_prefix_ + ".rebalance.preemptions");
+    obs_.rebalance_demotions = &metrics_->counter(metrics_prefix_ + ".rebalance.demotions");
     metrics_->SetGaugeCallback(metrics_prefix_ + ".rebalance.active_copies", [this] {
       return static_cast<int64_t>(repl_ops_.size());
     });
@@ -163,18 +162,18 @@ void Coordinator::AttachObservability(MetricsRegistry* metrics, TraceRecorder* t
       const AdmissionClass klass = static_cast<AdmissionClass>(c);
       const std::string stem =
           metrics_prefix_ + ".admission." + AdmissionClassName(klass);
-      class_accepted_[c] = &metrics_->counter(stem + ".accepted");
-      class_queued_[c] = &metrics_->counter(stem + ".queued");
-      class_shed_[c] = &metrics_->counter(stem + ".shed");
-      class_expired_[c] = &metrics_->counter(stem + ".expired");
+      obs_.class_accepted[c] = &metrics_->counter(stem + ".accepted");
+      obs_.class_queued[c] = &metrics_->counter(stem + ".queued");
+      obs_.class_shed[c] = &metrics_->counter(stem + ".shed");
+      obs_.class_expired[c] = &metrics_->counter(stem + ".expired");
       metrics_->SetGaugeCallback(stem + ".depth", [this, klass] {
         return static_cast<int64_t>(pending_count_for(klass));
       });
     }
-    shed_episodes_ = &metrics_->counter(metrics_prefix_ + ".shed.episodes");
-    shed_rejected_ = &metrics_->counter(metrics_prefix_ + ".shed.rejected");
-    shed_degraded_ = &metrics_->counter(metrics_prefix_ + ".shed.degraded");
-    shed_rebalance_paused_ = &metrics_->counter(metrics_prefix_ + ".shed.rebalance_paused");
+    obs_.shed_episodes = &metrics_->counter(metrics_prefix_ + ".shed.episodes");
+    obs_.shed_rejected = &metrics_->counter(metrics_prefix_ + ".shed.rejected");
+    obs_.shed_degraded = &metrics_->counter(metrics_prefix_ + ".shed.degraded");
+    obs_.shed_rebalance_paused = &metrics_->counter(metrics_prefix_ + ".shed.rebalance_paused");
     metrics_->SetGaugeCallback(metrics_prefix_ + ".shed.active",
                                [this] { return shed_active_ ? int64_t{1} : int64_t{0}; });
   }
@@ -182,28 +181,27 @@ void Coordinator::AttachObservability(MetricsRegistry* metrics, TraceRecorder* t
 
 void Coordinator::RecordAdmission(const char* kind, const PendingRequest& request,
                                   const Status& outcome, SimTime start) {
-  if (metrics_ != nullptr) {
-    const size_t klass = static_cast<size_t>(request.admission_class);
-    if (outcome.ok()) {
-      admit_accepted_->Add();
-      if (klass < kAdmissionClassCount && class_accepted_[klass] != nullptr) {
-        class_accepted_[klass]->Add();
-      }
-    } else if (outcome.code() == StatusCode::kResourceExhausted) {
-      admit_queued_->Add();
-      if (klass < kAdmissionClassCount && class_queued_[klass] != nullptr) {
-        class_queued_[klass]->Add();
-      }
-    } else {
-      admit_rejected_->Add();
-    }
+  const bool queued = outcome.code() == StatusCode::kResourceExhausted;
+  Bump(outcome.ok() ? obs_.admit_accepted : queued ? obs_.admit_queued : obs_.admit_rejected);
+  if (outcome.ok() || queued) {
+    Bump(ForClass(outcome.ok() ? obs_.class_accepted : obs_.class_queued, request.admission_class));
   }
   if (trace_ != nullptr) {
-    const char* verdict = outcome.ok() ? "accepted"
-                          : outcome.code() == StatusCode::kResourceExhausted ? "queued"
-                                                                             : "rejected";
+    const char* verdict = outcome.ok() ? "accepted" : queued ? "queued" : "rejected";
     trace_->Span(trace_track_, metrics_prefix_, std::string("admit:") + kind, start,
                  request.content + " group " + std::to_string(request.group) + " " + verdict);
+  }
+}
+
+void Coordinator::Bump(Counter* counter, int64_t count) {
+  if (counter != nullptr) {
+    counter->Add(count);
+  }
+}
+
+void Coordinator::TraceInstant(const char* name, const std::string& detail) {
+  if (trace_ != nullptr) {
+    trace_->Instant(trace_track_, metrics_prefix_, name, detail);
   }
 }
 
@@ -212,9 +210,7 @@ void Coordinator::CountRequestLost(int64_t count) {
     return;
   }
   requests_lost_count_ += count;
-  if (requests_lost_metric_ != nullptr) {
-    requests_lost_metric_->Add(count);
-  }
+  Bump(obs_.requests_lost, count);
 }
 
 void Coordinator::OnAccept(TcpConn* conn) {
@@ -301,21 +297,13 @@ void Coordinator::Crash() {
   const bool state_survives =
       params_.ha.enabled && (role_ == HaRole::kStandby || peer_joined_);
   if (!state_survives) {
-    CountRequestLost(static_cast<int64_t>(pending_.size()));
+    CountRequestLost(static_cast<int64_t>(queue_.size()));
   }
   crashed_ = true;
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "crash",
-                    std::to_string(active_streams_.size()) + " streams forgotten");
-  }
+  TraceInstant("crash", std::to_string(active_streams_.size()) + " streams forgotten");
   node_->SetDown(true);
-  msus_.clear();
-  sessions_.clear();
-  conn_sessions_.clear();
-  active_streams_.clear();
-  groups_.clear();
-  group_requests_.clear();
-  pending_.clear();
+  // In-flight background copies are orphaned; MSUs finish or abort alone.
+  ResetVolatileState();
   expiry_token_.Cancel();
   expiry_armed_at_ = SimTime();
   shed_active_ = false;
@@ -324,17 +312,10 @@ void Coordinator::Crash() {
   share_batches_.clear();
   popularity_.clear();
   popularity_bumped_.clear();
-  repl_ops_.clear();  // in-flight copies are orphaned; MSUs finish or abort alone
-  ledger_ = ResourceLedger();
   // HA volatile state dies with the process.
   repl_conn_ = nullptr;
   repl_in_conn_ = nullptr;
-  joined_ = false;
-  peer_joined_ = false;
-  need_snapshot_ = true;
-  pending_records_.clear();
-  oplog_appended_ = 0;
-  oplog_acked_ = 0;
+  ResetOplog();
   if (flush_cond_ != nullptr) {
     flush_cond_->NotifyAll();
   }
@@ -344,47 +325,33 @@ void Coordinator::Crash() {
 }
 
 void Coordinator::Restart() {
-  if (params_.ha.enabled) {
-    // The peer took over (or will, via the orphan grace); rejoin as its
-    // standby and wait for a snapshot. No catalog scrub: in-progress
-    // recordings now belong to the new primary and must not be corrupted.
-    node_->SetDown(false);
-    crashed_ = false;
-    if (trace_ != nullptr) {
-      trace_->Instant(trace_track_, metrics_prefix_, "restart", "rejoining as standby");
+  if (!params_.ha.enabled) {
+    // The catalog survived (the paper's durable database); scrub recordings
+    // that were in progress at the crash — their streams are unknown now, so
+    // they can never be sealed through this Coordinator. (With HA they
+    // belong to the new primary and must not be corrupted.)
+    std::vector<std::string> aborted;
+    for (const ContentRecord* record : catalog_->ListContent()) {
+      if (record->recording_in_progress) {
+        aborted.push_back(record->name);
+      }
     }
-    BecomeStandby();
-    if (params_.rebalance.enabled) {
-      RebalanceLoop();  // the crash broke the loop; it idles until primary
+    for (const std::string& name : aborted) {
+      (void)catalog_->RemoveContent(name);
     }
-    if (params_.traffic.enabled) {
-      ShedGovernorLoop();  // likewise: idles until this node is primary
-    }
-    return;
-  }
-  // The catalog survived (the paper's durable database); scrub recordings
-  // that were in progress at the crash — their streams are unknown now, so
-  // they can never be sealed through this Coordinator.
-  std::vector<std::string> aborted;
-  for (const ContentRecord* record : catalog_->ListContent()) {
-    if (record->recording_in_progress) {
-      aborted.push_back(record->name);
-    }
-  }
-  for (const std::string& name : aborted) {
-    (void)catalog_->RemoveContent(name);
   }
   node_->SetDown(false);  // the TCP listener survives on the node
   crashed_ = false;
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "restart");
+  TraceInstant("restart", params_.ha.enabled ? "rejoining as standby" : "");
+  if (params_.ha.enabled) {
+    // The peer took over (or will, via the orphan grace); rejoin as its
+    // standby and wait for a snapshot.
+    BecomeStandby();
   }
-  if (params_.rebalance.enabled) {
-    RebalanceLoop();
-  }
-  if (params_.traffic.enabled) {
-    ShedGovernorLoop();
-  }
+  // The crash broke the background loops (each a no-op when its feature is
+  // off); they idle until this node is primary.
+  RebalanceLoop();
+  ShedGovernorLoop();
 }
 
 void Coordinator::OnConnClosed(TcpConn* conn) {
@@ -669,27 +636,18 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
     // Live admissions outrank background copies (DESIGN §5.8): abort every
     // in-flight copy touching a candidate MSU, then re-run placement once
     // against the freed bandwidth.
-    std::vector<int64_t> preempt;
-    for (const auto& [op_id, op] : repl_ops_) {
-      bool overlaps = spec->record;  // recordings may land on any MSU
+    const auto overlaps = [&spec](const ReplOp& op) {
+      bool touched = spec->record;  // recordings may land on any MSU
       for (const ComponentSpec& component : spec->components) {
         for (const PlacementCandidate& candidate : component.candidates) {
-          if (candidate.msu == op.source_msu || candidate.msu == op.target_msu) {
-            overlaps = true;
-          }
+          touched = touched || candidate.msu == op.source_msu || candidate.msu == op.target_msu;
         }
       }
-      if (overlaps) {
-        preempt.push_back(op_id);
-      }
-    }
-    if (!preempt.empty()) {
-      for (int64_t op_id : preempt) {
-        AbortReplication(op_id, "preempted by live admission");
-      }
-      if (rebalance_preemptions_ != nullptr) {
-        rebalance_preemptions_->Add(static_cast<int64_t>(preempt.size()));
-      }
+      return touched;
+    };
+    const int64_t preempted = AbortReplicationsWhere(overlaps, "preempted by live admission");
+    if (preempted > 0) {
+      Bump(obs_.rebalance_preemptions, preempted);
       placement = policy_->Place(*spec, ledger_);
     }
   }
@@ -720,7 +678,6 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
   for (size_t i = 0; i < components.size(); ++i) {
     const Component& component = components[i];
     MsuStartStream start;
-    start.epoch = params_.ha.enabled ? epoch_ : 0;
     start.group = request.group;
     start.stream = next_stream_++;
     start.file = !request.record && !placement->files[i].empty() ? placement->files[i]
@@ -758,15 +715,23 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
       }
     }
 
-    // The MSU may have died while earlier members were starting.
-    MsuInfo& msu = msus_[chosen_msu];
-    const auto* ack = static_cast<const MsuStartStreamResponse*>(nullptr);
-    Result<Envelope> response = UnavailableError("msu went down mid-launch");
-    if (ledger_.IsUp(chosen_msu) && msu.conn != nullptr) {
-      response = co_await msu.conn->Call(MessageBody{start});
-      ack = response.ok() ? std::get_if<MsuStartStreamResponse>(&response->body) : nullptr;
-    }
-    if (ack == nullptr || !ack->ok) {
+    ActiveStream active;
+    active.id = start.stream;
+    active.group = request.group;
+    active.msu = chosen_msu;
+    active.disk = placement->disks[i];
+    active.component = static_cast<int>(i);
+    active.content_item = component.item_name;
+    active.recording = request.record;
+    active.session = request.session;
+    active.last_offset = start.start_offset;
+    const StreamId stream_id = active.id;
+    // The group can be re-placed once its last member runs.
+    const PendingRequest* complete = i + 1 == components.size() ? &request : nullptr;
+    std::vector<Booking> booking(1, Booking{std::move(active), i, complete});
+    const Status launched =
+        co_await LaunchOnMsu(chosen_msu, std::move(start), txn, std::move(booking));
+    if (!launched.ok()) {
       // The transaction's destructor refunds this member and the members
       // never launched; started members unwind through HandleStreamTerminated.
       for (StreamId id : started) {
@@ -778,21 +743,8 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
         undo.disk = active_streams_[id].disk;
         HandleStreamTerminated(undo);
       }
-      co_return InternalError("msu refused stream: " +
-                              (ack != nullptr ? ack->error : response.status().ToString()));
+      co_return launched;
     }
-
-    ActiveStream active;
-    active.id = start.stream;
-    active.group = request.group;
-    active.msu = chosen_msu;
-    active.disk = placement->disks[i];
-    active.component = static_cast<int>(i);
-    active.content_item = component.item_name;
-    active.recording = request.record;
-    active.session = request.session;
-    active.last_offset = start.start_offset;
-    txn.Commit(i, active.id);
     if (request.record) {
       // New catalog entry, playable once the recording completes.
       ContentRecord record;
@@ -803,38 +755,13 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
       record.locations.push_back(ContentLocation{chosen_msu, placement->disks[i]});
       (void)catalog_->AddContent(std::move(record));
     }
-    active_streams_[active.id] = active;
-    groups_[request.group].push_back(active.id);
-    started.push_back(active.id);
+    started.push_back(stream_id);
   }
-
-  // Remember what started this group so an MSU failure can re-place it.
-  group_requests_[request.group] = request;
 
   if (params_.ha.enabled) {
     // Replicate the whole admitted group in one record: member streams, their
     // ledger holds, and the originating request (for post-takeover failover).
-    ReplGroupStarted group_started;
-    group_started.group = request.group;
-    group_started.msu = chosen_msu;
-    group_started.request = request;
-    for (StreamId id : started) {
-      const ActiveStream& active = active_streams_[id];
-      ReplStreamMember member;
-      member.stream = id;
-      member.disk = active.disk;
-      member.component = active.component;
-      member.content_item = active.content_item;
-      member.recording = active.recording;
-      auto hold = ledger_.FindHold(id);
-      if (hold.has_value()) {
-        member.rate = hold->rate;
-        member.space = hold->space;
-      }
-      member.offset = active.last_offset;
-      group_started.members.push_back(std::move(member));
-    }
-    LogRecord(ReplRecord{std::move(group_started)});
+    LogRecord(ReplRecord{GroupStartedRecord(request.group, request)});
   }
 
   if (request.record && components.size() > 1) {
@@ -851,6 +778,31 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
   co_return OkStatus();
 }
 
+Co<Status> Coordinator::LaunchOnMsu(const std::string& msu_node, MsuStartStream start,
+                                    ResourceLedger::Txn& txn, std::vector<Booking> bookings) {
+  start.epoch = params_.ha.enabled ? epoch_ : 0;
+  // The MSU may have died while earlier members were starting.
+  MsuInfo& msu = msus_[msu_node];
+  Result<Envelope> response = UnavailableError("msu went down mid-launch");
+  if (ledger_.IsUp(msu_node) && msu.conn != nullptr) {
+    response = co_await msu.conn->Call(MessageBody{std::move(start)});
+  }
+  const auto* ack = response.ok() ? std::get_if<MsuStartStreamResponse>(&response->body) : nullptr;
+  if (ack == nullptr || !ack->ok) {
+    co_return InternalError("msu refused stream: " +
+                            (ack != nullptr ? ack->error : response.status().ToString()));
+  }
+  for (Booking& booking : bookings) {
+    txn.Commit(booking.hold, booking.stream.id);
+    groups_[booking.stream.group].push_back(booking.stream.id);
+    if (booking.request != nullptr) {
+      group_requests_[booking.stream.group] = *booking.request;
+    }
+    active_streams_[booking.stream.id] = std::move(booking.stream);
+  }
+  co_return OkStatus();
+}
+
 Co<MessageBody> Coordinator::HandlePlay(TcpConn* conn, const PlayRequest& request) {
   auto session = FindSession(request.session);
   if (!session.ok()) {
@@ -863,7 +815,6 @@ Co<MessageBody> Coordinator::HandlePlay(TcpConn* conn, const PlayRequest& reques
   }
   PendingRequest pending;
   pending.session = request.session;
-  pending.record = false;
   pending.content = request.content;
   pending.port = port->second;
   pending.group = next_group_++;
@@ -875,21 +826,18 @@ Co<MessageBody> Coordinator::HandlePlay(TcpConn* conn, const PlayRequest& reques
     BumpPopularity(pending.content);
   }
 
+  const SimTime admit_start = machine_->sim().Now();
   if (SharingEligible(pending)) {
     BumpPopularity(pending.content);
-    const SimTime admit_start = machine_->sim().Now();
     // A viewer arriving within the cache horizon of a live group's playback
     // position rides the serving MSU's interval cache: no disk bandwidth.
-    const SharedGroup* target = FindAttachTarget(pending.content);
-    if (target != nullptr) {
-      const Status attached = co_await StartCacheAttach(pending, *target);
-      if (attached.ok()) {
-        RecordAdmission("attach", pending, attached, admit_start);
-        co_return MessageBody{PlayResponse{true, "", pending.group, false}};
-      }
-      // Cache memory ran out (or the MSU died mid-attach): fall through and
-      // coalesce into a batch like any other viewer.
+    const Status attached = co_await StartCacheAttach(pending);
+    if (attached.ok()) {
+      RecordAdmission("attach", pending, attached, admit_start);
+      co_return MessageBody{PlayResponse{true, "", pending.group, false}};
     }
+    // No group in range, cache memory ran out, or the MSU died mid-attach:
+    // coalesce into a batch like any other viewer.
     // Coalesce with other requests for this title; the first waiter opens
     // the window and FlushShareBatch closes it after batch_window. The
     // client's WaitForGroupReady tolerates the delay.
@@ -899,32 +847,17 @@ Co<MessageBody> Coordinator::HandlePlay(TcpConn* conn, const PlayRequest& reques
     if (first) {
       FlushShareBatch(pending.content);
     }
-    if (trace_ != nullptr) {
-      trace_->Instant(trace_track_, metrics_prefix_, "share-batch",
-                      pending.content + " group " + std::to_string(pending.group));
-    }
+    TraceInstant("share-batch", pending.content + " group " + std::to_string(pending.group));
     co_return MessageBody{PlayResponse{true, "", pending.group, false}};
   }
 
-  const SimTime admit_start = machine_->sim().Now();
   const Status started = co_await TryStartGroup(pending);
-  if (started.code() == StatusCode::kResourceExhausted && !EnqueuePending(pending)) {
-    // The class queue is full: reject-newest, explicitly, rather than
-    // deepening a backlog that already exceeds what the deadline can clear.
-    const Status rejected = UnavailableError("admission queue full");
-    RecordAdmission("play", pending, rejected, admit_start);
-    co_return MessageBody{PlayResponse{false, rejected.ToString(), 0, false}};
+  const Status outcome =
+      SettleAdmission(pending, started, Origin::kClientCall, "play", admit_start);
+  if (outcome.ok() || outcome.code() == StatusCode::kResourceExhausted) {
+    co_return MessageBody{PlayResponse{true, "", pending.group, !outcome.ok()}};
   }
-  RecordAdmission("play", pending, started, admit_start);
-  if (started.ok()) {
-    co_return MessageBody{PlayResponse{true, "", pending.group, false}};
-  }
-  if (started.code() == StatusCode::kResourceExhausted) {
-    // "If a client's request cannot be satisfied, the Coordinator queues the
-    // request until an MSU with the necessary resources becomes available."
-    co_return MessageBody{PlayResponse{true, "", pending.group, true}};
-  }
-  co_return MessageBody{PlayResponse{false, started.ToString(), 0, false}};
+  co_return MessageBody{PlayResponse{false, outcome.ToString(), 0, false}};
 }
 
 // ---- stream sharing (DESIGN §5.6) ----
@@ -944,16 +877,8 @@ bool Coordinator::SharingEligible(const PendingRequest& request) const {
 }
 
 void Coordinator::BumpPopularity(const std::string& content) {
-  const SimTime now = machine_->sim().Now();
-  double& ewma = popularity_[content];
-  auto bumped = popularity_bumped_.find(content);
-  if (bumped != popularity_bumped_.end() && params_.sharing.popularity_halflife > SimTime()) {
-    const double age =
-        (now - bumped->second).seconds() / params_.sharing.popularity_halflife.seconds();
-    ewma *= std::exp2(-age);
-  }
-  ewma += 1.0;
-  popularity_bumped_[content] = now;
+  popularity_[content] = DecayedPopularity(content) + 1.0;
+  popularity_bumped_[content] = machine_->sim().Now();
 }
 
 double Coordinator::DecayedPopularity(const std::string& content) const {
@@ -975,20 +900,18 @@ bool Coordinator::IsHot(const std::string& content) const {
   return DecayedPopularity(content) >= params_.sharing.hot_threshold;
 }
 
-const Coordinator::SharedGroup* Coordinator::FindAttachTarget(const std::string& content) const {
+Co<Status> Coordinator::StartCacheAttach(PendingRequest request) {
   const SimTime now = machine_->sim().Now();
-  for (const auto& [id, group] : shared_groups_) {
-    if (group.content != content || group.member_count <= 0 || !ledger_.IsUp(group.msu)) {
-      continue;
-    }
-    if (now - group.started_at <= params_.sharing.cache_horizon) {
-      return &group;
-    }
+  auto target_it =
+      std::find_if(shared_groups_.begin(), shared_groups_.end(), [&](const auto& entry) {
+        const SharedGroup& group = entry.second;
+        return group.content == request.content && group.member_count > 0 &&
+               ledger_.IsUp(group.msu) && now - group.started_at <= params_.sharing.cache_horizon;
+      });
+  if (target_it == shared_groups_.end()) {
+    co_return NotFoundError("no shared group within the cache horizon");
   }
-  return nullptr;
-}
-
-Co<Status> Coordinator::StartCacheAttach(PendingRequest request, SharedGroup target) {
+  const SharedGroup target = target_it->second;  // the map may change while we wait
   auto session = FindSession(request.session);
   if (!session.ok()) {
     co_return session.status();
@@ -1005,7 +928,7 @@ Co<Status> Coordinator::StartCacheAttach(PendingRequest request, SharedGroup tar
   // zero) and the leader's current position; charge that many bytes against
   // the MSU's cache budget, plus NIC bandwidth for the extra send. No disk
   // bandwidth: the reads come from memory.
-  const SimTime gap = machine_->sim().Now() - target.started_at;
+  const SimTime gap = now - target.started_at;
   const Bytes interval = target.rate.BytesIn(gap) + kDataPageSize;
   auto reservation = ledger_.Reserve(
       target.msu, {ResourceLedger::ReserveItem{ResourceLedger::kSharedDisk, target.rate,
@@ -1016,7 +939,6 @@ Co<Status> Coordinator::StartCacheAttach(PendingRequest request, SharedGroup tar
   ResourceLedger::Txn txn = std::move(reservation).value();
 
   MsuStartStream start;
-  start.epoch = params_.ha.enabled ? epoch_ : 0;
   start.group = request.group;
   start.stream = next_stream_++;
   start.file = target.file;
@@ -1032,18 +954,6 @@ Co<Status> Coordinator::StartCacheAttach(PendingRequest request, SharedGroup tar
   start.from_cache = true;
   start.pin_prefix = IsHot(request.content);
 
-  MsuInfo& msu = msus_[target.msu];
-  Result<Envelope> response = UnavailableError("serving msu went away");
-  if (ledger_.IsUp(target.msu) && msu.conn != nullptr) {
-    response = co_await msu.conn->Call(MessageBody{start});
-  }
-  const auto* ack = response.ok() ? std::get_if<MsuStartStreamResponse>(&response->body) : nullptr;
-  if (ack == nullptr || !ack->ok) {
-    // Txn destructor refunds the cache hold; the caller falls back to a batch.
-    co_return InternalError("msu refused cache attach: " +
-                            (ack != nullptr ? ack->error : response.status().ToString()));
-  }
-
   ActiveStream active;
   active.id = start.stream;
   active.group = request.group;
@@ -1051,20 +961,17 @@ Co<Status> Coordinator::StartCacheAttach(PendingRequest request, SharedGroup tar
   active.disk = target.disk;
   active.content_item = request.content;
   active.session = request.session;
-  txn.Commit(0, active.id);
-  active_streams_[active.id] = active;
-  groups_[request.group].push_back(active.id);
   // The plain request is remembered: if the MSU dies this viewer fails over
   // as an ordinary unique stream (a fresh disk hold elsewhere).
-  group_requests_[request.group] = request;
-  if (groups_attaches_ != nullptr) {
-    groups_attaches_->Add();
+  std::vector<Booking> booking(1, Booking{std::move(active), 0, &request});
+  const Status launched =
+      co_await LaunchOnMsu(target.msu, std::move(start), txn, std::move(booking));
+  if (!launched.ok()) {
+    co_return launched;  // txn refunds the cache hold; the caller falls back to a batch
   }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "cache-attach",
-                    request.content + " group " + std::to_string(request.group) + " on " +
-                        target.msu);
-  }
+  Bump(obs_.groups_attaches);
+  TraceInstant("cache-attach",
+               request.content + " group " + std::to_string(request.group) + " on " + target.msu);
   co_return OkStatus();
 }
 
@@ -1086,54 +993,45 @@ Co<void> Coordinator::StartSharedGroup(std::string content,
                                        std::vector<PendingRequest> waiters) {
   std::vector<PendingRequest> live;
   for (PendingRequest& request : waiters) {
-    if (FindSession(request.session).ok()) {
+    auto session = FindSession(request.session);
+    if (session.ok()) {
       live.push_back(std::move(request));
-    } else {
-      CountRequestLost();  // client left during the batch window
+    } else {  // client left during the batch window
+      DropRequest(std::move(request), DropCause::kSessionClosed, session.status(),
+                  Origin::kReadmit);
     }
   }
   if (live.empty()) {
     co_return;
   }
 
-  // Degraded exit: park every waiter in the pending queue; each retries as a
-  // unique stream through the historical path.
-  auto queue_all = [this, &live] {
+  // Degraded exit, the same for every waiter: no room parks them in the
+  // pending queue to retry as unique streams; any other refusal drops them.
+  const SimTime admit_start = machine_->sim().Now();
+  auto settle_all = [this, &live, admit_start](const Status& outcome) {
     for (PendingRequest& request : live) {
-      if (!EnqueuePending(request)) {
-        CountRequestLost();
-        NotifyRequestFailed(std::move(request), UnavailableError("admission queue full"));
-      }
+      (void)SettleAdmission(std::move(request), outcome, Origin::kReadmit, nullptr, admit_start);
     }
-    RetryPendingQueue();
-  };
-  auto fail_all = [this, &live](const Status& error) {
-    for (PendingRequest& request : live) {
-      CountRequestLost();
-      NotifyRequestFailed(request, error);
+    if (outcome.code() == StatusCode::kResourceExhausted) {
+      RetryPendingQueue();
     }
   };
 
-  const SimTime admit_start = machine_->sim().Now();
   auto session = FindSession(live.front().session);
   auto resolved = ResolveComponents(live.front(), **session);
   if (!resolved.ok()) {
-    fail_all(resolved.status());
+    settle_all(resolved.status());
     co_return;
   }
   const Component& component = resolved->front();  // eligibility => exactly one
   auto spec = BuildPlacementSpec(live.front(), *resolved);
   if (!spec.ok()) {
-    fail_all(spec.status());
+    settle_all(spec.status());
     co_return;
   }
   auto placement = policy_->Place(*spec, ledger_);
   if (!placement.ok()) {
-    if (placement.status().code() == StatusCode::kResourceExhausted) {
-      queue_all();
-    } else {
-      fail_all(placement.status());
-    }
+    settle_all(placement.status());
     co_return;
   }
   const std::string chosen_msu = placement->msu;
@@ -1149,23 +1047,17 @@ Co<void> Coordinator::StartSharedGroup(std::string content,
   }
   auto reservation = ledger_.Reserve(chosen_msu, std::move(items));
   if (!reservation.ok()) {
-    if (reservation.status().code() == StatusCode::kResourceExhausted) {
-      queue_all();
-    } else {
-      fail_all(reservation.status());
-    }
+    settle_all(reservation.status());
     co_return;
   }
   ResourceLedger::Txn txn = std::move(reservation).value();
 
   MsuStartStream start;
-  start.epoch = params_.ha.enabled ? epoch_ : 0;
   const GroupId delivery_group = next_group_++;
   start.group = delivery_group;
   start.stream = next_stream_++;
   start.file = !placement->files[0].empty() ? placement->files[0] : component.file_name;
-  auto type = catalog_->FindType(component.type_name);
-  start.protocol = (*type)->protocol;
+  start.protocol = (*catalog_->FindType(component.type_name))->protocol;
   start.rate = rate;
   start.disk_hint = placement->disks[0];
   start.open_control_conn = false;  // members carry their own control conns
@@ -1174,6 +1066,18 @@ Co<void> Coordinator::StartSharedGroup(std::string content,
   start.fast_backward_file = (*record)->fast_backward_file;
   start.shared = true;
   start.pin_prefix = IsHot(content);
+
+  // The delivery stream holds the disk bandwidth. Its group deliberately has
+  // no group_requests_ entry: if the MSU dies, MarkMsuDown releases the hold
+  // and drops it silently while each member fails over on its own.
+  std::vector<Booking> bookings(1);
+  bookings.reserve(live.size() + 1);  // keeps `delivery` valid below
+  ActiveStream& delivery = bookings.front().stream;
+  delivery.id = start.stream;
+  delivery.group = delivery_group;
+  delivery.msu = chosen_msu;
+  delivery.disk = placement->disks[0];
+  delivery.content_item = component.item_name;
   for (const PendingRequest& request : live) {
     SharedMemberSpec member;
     member.stream = next_stream_++;
@@ -1181,66 +1085,35 @@ Co<void> Coordinator::StartSharedGroup(std::string content,
     member.client_node = request.port.node;
     member.client_udp_port = request.port.udp_port;
     member.client_control_port = request.port.control_port;
+    Booking booking{bookings.front().stream, bookings.size(), &request};
+    booking.stream.id = member.stream;
+    booking.stream.group = request.group;
+    booking.stream.session = request.session;
+    bookings.push_back(std::move(booking));
     start.shared_members.push_back(std::move(member));
   }
-
-  MsuInfo& msu = msus_[chosen_msu];
-  Result<Envelope> response = UnavailableError("msu went down before launch");
-  if (ledger_.IsUp(chosen_msu) && msu.conn != nullptr) {
-    response = co_await msu.conn->Call(MessageBody{start});
-  }
-  const auto* ack = response.ok() ? std::get_if<MsuStartStreamResponse>(&response->body) : nullptr;
-  if (ack == nullptr || !ack->ok) {
-    // Txn destructor refunds everything; members retry as unique streams.
-    queue_all();
-    co_return;
-  }
-
-  // The delivery stream holds the disk bandwidth. Its group deliberately has
-  // no group_requests_ entry: if the MSU dies, MarkMsuDown releases the hold
-  // and drops it silently while each member fails over on its own.
-  ActiveStream delivery;
-  delivery.id = start.stream;
-  delivery.group = delivery_group;
-  delivery.msu = chosen_msu;
-  delivery.disk = placement->disks[0];
-  delivery.content_item = component.item_name;
-  txn.Commit(0, delivery.id);
-  active_streams_[delivery.id] = delivery;
-  groups_[delivery_group].push_back(delivery.id);
-
   SharedGroup shared;
-  shared.delivery_stream = delivery.id;
+  shared.delivery_stream = start.stream;
   shared.msu = chosen_msu;
   shared.disk = placement->disks[0];
   shared.content = content;
   shared.file = start.file;
   shared.rate = rate;
-  shared.started_at = machine_->sim().Now();
   shared.member_count = static_cast<int>(live.size());
-  shared_groups_[delivery.id] = shared;
-
-  for (size_t i = 0; i < live.size(); ++i) {
-    const PendingRequest& request = live[i];
-    ActiveStream active;
-    active.id = start.shared_members[i].stream;
-    active.group = request.group;
-    active.msu = chosen_msu;
-    active.disk = placement->disks[0];
-    active.content_item = component.item_name;
-    active.session = request.session;
-    txn.Commit(i + 1, active.id);
-    active_streams_[active.id] = active;
-    groups_[request.group].push_back(active.id);
-    group_requests_[request.group] = request;
+  const Status launched = co_await LaunchOnMsu(chosen_msu, std::move(start), txn,
+                                               std::move(bookings));
+  if (!launched.ok()) {
+    // Txn destructor refunds everything; members retry as unique streams.
+    settle_all(ResourceExhaustedError(launched.message()));
+    co_return;
+  }
+  shared.started_at = machine_->sim().Now();
+  shared_groups_[shared.delivery_stream] = shared;
+  for (const PendingRequest& request : live) {
     RecordAdmission("share", request, OkStatus(), admit_start);
   }
-  if (groups_formed_ != nullptr) {
-    groups_formed_->Add();
-  }
-  if (groups_members_ != nullptr) {
-    groups_members_->Add(static_cast<int64_t>(live.size()));
-  }
+  Bump(obs_.groups_formed);
+  Bump(obs_.groups_members, static_cast<int64_t>(live.size()));
   if (trace_ != nullptr) {
     trace_->Span(trace_track_, metrics_prefix_, "share-group", admit_start,
                  content + " x" + std::to_string(live.size()) + " on " + chosen_msu);
@@ -1267,14 +1140,9 @@ Co<MessageBody> Coordinator::HandleSharedMemberSplit(const SharedMemberSplit& sp
   active_streams_.erase(it);
   groups_.erase(split.group);
   group_requests_.erase(split.group);
-  if (groups_splits_ != nullptr) {
-    groups_splits_->Add();
-  }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "share-split",
-                    "group " + std::to_string(split.group) + " off delivery " +
-                        std::to_string(split.delivery_stream));
-  }
+  Bump(obs_.groups_splits);
+  TraceInstant("share-split", "group " + std::to_string(split.group) + " off delivery " +
+                                  std::to_string(split.delivery_stream));
   if (!have_request) {
     co_return MessageBody{SimpleResponse{true, ""}};
   }
@@ -1288,20 +1156,7 @@ Co<MessageBody> Coordinator::HandleSharedMemberSplit(const SharedMemberSplit& sp
   resume.prefer_msu = split.msu_node;  // the page cache there already holds the title
   const SimTime admit_start = machine_->sim().Now();
   const Status started = co_await TryStartGroup(resume);
-  RecordAdmission("split", resume, started, admit_start);
-  if (started.code() == StatusCode::kResourceExhausted) {
-    if (!EnqueuePending(resume)) {
-      CountRequestLost();
-      NotifyRequestFailed(std::move(resume), UnavailableError("admission queue full"));
-    }
-    co_return MessageBody{SimpleResponse{true, ""}};
-  }
-  if (!started.ok()) {
-    CALLIOPE_LOG(kWarning, "coord") << "shared member group " << split.group
-                                    << " could not re-admit after split: " << started.ToString();
-    CountRequestLost();
-    NotifyRequestFailed(std::move(resume), started);
-  }
+  (void)SettleAdmission(std::move(resume), started, Origin::kReadmit, "split", admit_start);
   co_return MessageBody{SimpleResponse{true, ""}};
 }
 
@@ -1320,9 +1175,7 @@ Task Coordinator::RebalanceLoop() {
     if (params_.ha.enabled && role_ != HaRole::kPrimary) {
       continue;  // the standby mirrors in-flight ops but never plans
     }
-    if (rebalance_ticks_ != nullptr) {
-      rebalance_ticks_->Add();
-    }
+    Bump(obs_.rebalance_ticks);
     const int slots =
         params_.rebalance.max_concurrent_copies - static_cast<int>(repl_ops_.size());
     RebalancePlan plan = PlanRebalance(BuildRebalanceSnapshot(), params_.rebalance, slots);
@@ -1370,11 +1223,7 @@ RebalanceSnapshot Coordinator::BuildRebalanceSnapshot() const {
     TitleView title;
     title.name = record->name;
     title.popularity = DecayedPopularity(record->name);
-    for (const PendingRequest& request : pending_) {
-      if (!request.record && request.content == record->name) {
-        ++title.pending;
-      }
-    }
+    title.pending = static_cast<int>(queue_.QueuedPlays(record->name));
     auto type = catalog_->FindType(record->type_name);
     if (type.ok()) {
       title.size = (*type)->storage_rate.BytesIn(record->duration);
@@ -1461,8 +1310,7 @@ Co<void> Coordinator::StartReplication(CopyAction action) {
     began = co_await target_it->second.conn->Call(MessageBody{std::move(begin)});
   }
   const auto* ack = began.ok() ? std::get_if<SimpleResponse>(&began->body) : nullptr;
-  if (crashed_ || (params_.ha.enabled && role_ != HaRole::kPrimary) || ack == nullptr ||
-      !ack->ok) {
+  if (crashed_ || !is_primary() || ack == nullptr || !ack->ok) {
     SendAbortCopy(action.source_msu, op_id);
     SendAbortCopy(action.target_msu, op_id);
     co_return;
@@ -1473,26 +1321,10 @@ Co<void> Coordinator::StartReplication(CopyAction action) {
   // op so a standby takeover keeps the plan.
   (void)ledger_.AddReplication(op_id, op.source_msu, op.source_disk, rate);
   (void)ledger_.AddReplication(op_id, op.target_msu, op.target_disk, rate, op.space);
-  ReplReplicationStarted started;
-  started.op = op_id;
-  started.content = op.content;
-  started.source_msu = op.source_msu;
-  started.source_disk = op.source_disk;
-  started.source_file = op.source_file;
-  started.target_msu = op.target_msu;
-  started.target_disk = op.target_disk;
-  started.replica_file = op.replica_file;
-  started.rate = rate;
-  started.space = op.space;
-  LogRecord(ReplRecord{std::move(started)});
-  if (rebalance_copies_started_ != nullptr) {
-    rebalance_copies_started_->Add();
-  }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "rebalance-copy",
-                    op.content + " " + op.source_msu + " -> " + op.target_msu + " op " +
-                        std::to_string(op_id));
-  }
+  LogRecord(ReplRecord{op});
+  Bump(obs_.rebalance_copies_started);
+  TraceInstant("rebalance-copy", op.content + " " + op.source_msu + " -> " + op.target_msu +
+                                     " op " + std::to_string(op_id));
   repl_ops_[op_id] = std::move(op);
 }
 
@@ -1522,13 +1354,8 @@ Co<void> Coordinator::ExecuteDemotion(DemoteAction action) {
   if (!found) {
     co_return;
   }
-  if (rebalance_demotions_ != nullptr) {
-    rebalance_demotions_->Add();
-  }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "rebalance-demote",
-                    action.content + " off " + action.msu);
-  }
+  Bump(obs_.rebalance_demotions);
+  TraceInstant("rebalance-demote", action.content + " off " + action.msu);
   SendDeleteFile(action.msu, action.file);
 }
 
@@ -1571,13 +1398,9 @@ void Coordinator::HandleReplicaInstalled(const ReplicaInstalled& note) {
     ended.installed = true;
     LogRecord(ReplRecord{std::move(ended)});
   }
-  if (rebalance_copies_installed_ != nullptr) {
-    rebalance_copies_installed_->Add();
-  }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "rebalance-installed",
-                    note.content + " on " + note.msu_node + " op " + std::to_string(note.op));
-  }
+  Bump(obs_.rebalance_copies_installed);
+  TraceInstant("rebalance-installed",
+               note.content + " on " + note.msu_node + " op " + std::to_string(note.op));
   // Queued requests — the flash crowd — can now land on the fresh replica.
   RetryPendingQueue();
 }
@@ -1603,50 +1426,46 @@ void Coordinator::AbortReplication(int64_t op_id, const std::string& reason) {
   ended.op = op_id;
   ended.installed = false;
   LogRecord(ReplRecord{std::move(ended)});
-  if (rebalance_copies_aborted_ != nullptr) {
-    rebalance_copies_aborted_->Add();
-  }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "rebalance-abort",
-                    op.content + " op " + std::to_string(op_id) + ": " + reason);
-  }
+  Bump(obs_.rebalance_copies_aborted);
+  TraceInstant("rebalance-abort", op.content + " op " + std::to_string(op_id) + ": " + reason);
   SendAbortCopy(op.source_msu, op_id);
   SendAbortCopy(op.target_msu, op_id);
 }
 
-Task Coordinator::SendAbortCopy(std::string msu_node, int64_t op_id) {
-  auto it = msus_.find(msu_node);
-  if (crashed_ || it == msus_.end() || it->second.conn == nullptr || !ledger_.IsUp(msu_node)) {
-    co_return;
-  }
+void Coordinator::SendAbortCopy(const std::string& msu_node, int64_t op_id) {
   MsuAbortCopy abort;
   abort.op = op_id;
   abort.epoch = params_.ha.enabled ? epoch_ : 0;
-  auto response = co_await it->second.conn->Call(MessageBody{std::move(abort)});
-  (void)response;
+  SendToMsu(msu_node, MessageBody{std::move(abort)});
 }
 
-Task Coordinator::SendDeleteFile(std::string msu_node, std::string file) {
+void Coordinator::SendDeleteFile(const std::string& msu_node, std::string file) {
+  MsuDeleteFile erase_file{std::move(file)};
+  erase_file.epoch = params_.ha.enabled ? epoch_ : 0;
+  SendToMsu(msu_node, MessageBody{std::move(erase_file)});
+}
+
+Task Coordinator::SendToMsu(std::string msu_node, MessageBody command) {
   auto it = msus_.find(msu_node);
   if (crashed_ || it == msus_.end() || it->second.conn == nullptr || !ledger_.IsUp(msu_node)) {
     co_return;
   }
-  MsuDeleteFile erase_file{std::move(file)};
-  erase_file.epoch = params_.ha.enabled ? epoch_ : 0;
-  auto response = co_await it->second.conn->Call(MessageBody{std::move(erase_file)});
+  auto response = co_await it->second.conn->Call(std::move(command));
   (void)response;
 }
 
-void Coordinator::AbortReplicationsTouching(const std::string& msu_node) {
-  std::vector<int64_t> doomed;
+int64_t Coordinator::AbortReplicationsWhere(const std::function<bool(const ReplOp&)>& doomed,
+                                            const std::string& reason) {
+  std::vector<int64_t> ops;
   for (const auto& [op_id, op] : repl_ops_) {
-    if (op.source_msu == msu_node || op.target_msu == msu_node) {
-      doomed.push_back(op_id);
+    if (doomed(op)) {
+      ops.push_back(op_id);
     }
   }
-  for (int64_t op_id : doomed) {
-    AbortReplication(op_id, "msu " + msu_node + " went down");
+  for (int64_t op_id : ops) {
+    AbortReplication(op_id, reason);
   }
+  return static_cast<int64_t>(ops.size());
 }
 
 Co<MessageBody> Coordinator::HandleRecord(TcpConn* conn, const RecordRequest& request) {
@@ -1680,19 +1499,12 @@ Co<MessageBody> Coordinator::HandleRecord(TcpConn* conn, const RecordRequest& re
 
   const SimTime admit_start = machine_->sim().Now();
   const Status started = co_await TryStartGroup(pending);
-  if (started.code() == StatusCode::kResourceExhausted && !EnqueuePending(pending)) {
-    const Status rejected = UnavailableError("admission queue full");
-    RecordAdmission("record", pending, rejected, admit_start);
-    co_return MessageBody{RecordResponse{false, rejected.ToString(), 0, false}};
+  const Status outcome =
+      SettleAdmission(pending, started, Origin::kClientCall, "record", admit_start);
+  if (outcome.ok() || outcome.code() == StatusCode::kResourceExhausted) {
+    co_return MessageBody{RecordResponse{true, "", pending.group, !outcome.ok()}};
   }
-  RecordAdmission("record", pending, started, admit_start);
-  if (started.ok()) {
-    co_return MessageBody{RecordResponse{true, "", pending.group, false}};
-  }
-  if (started.code() == StatusCode::kResourceExhausted) {
-    co_return MessageBody{RecordResponse{true, "", pending.group, true}};
-  }
-  co_return MessageBody{RecordResponse{false, started.ToString(), 0, false}};
+  co_return MessageBody{RecordResponse{false, outcome.ToString(), 0, false}};
 }
 
 Co<MessageBody> Coordinator::HandleDelete(TcpConn* conn, const DeleteContentRequest& request) {
@@ -1719,15 +1531,8 @@ Co<MessageBody> Coordinator::HandleDelete(TcpConn* conn, const DeleteContentRequ
   }
   for (const std::string& item_name : items) {
     // Copies of the doomed title still in flight are pointless now.
-    std::vector<int64_t> doomed;
-    for (const auto& [op_id, op] : repl_ops_) {
-      if (op.content == item_name) {
-        doomed.push_back(op_id);
-      }
-    }
-    for (int64_t op_id : doomed) {
-      AbortReplication(op_id, "content deleted");
-    }
+    AbortReplicationsWhere([&item_name](const ReplOp& op) { return op.content == item_name; },
+                           "content deleted");
     auto item = catalog_->FindContent(item_name);
     if (!item.ok()) {
       continue;
@@ -1841,10 +1646,7 @@ Co<MessageBody> Coordinator::HandleMsuRegister(TcpConn* conn, const MsuRegisterR
       return ledger_.FreeSpace(node).count() / (1024 * 1024);
     });
   }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "msu-register",
-                    request.msu_node + (warm ? " (warm)" : ""));
-  }
+  TraceInstant("msu-register", request.msu_node + (warm ? " (warm)" : ""));
   RetryPendingQueue();
   co_return MessageBody{std::move(ack)};
 }
@@ -1934,9 +1736,7 @@ void Coordinator::HandleProgressReport(const StreamProgressReport& report) {
 void Coordinator::MarkMsuDown(MsuInfo& msu) {
   msu.conn = nullptr;
   ledger_.MarkDown(msu.node);
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "msu-down", msu.node);
-  }
+  TraceInstant("msu-down", msu.node);
   ReplMsuDown down;
   down.node = msu.node;
   LogRecord(ReplRecord{std::move(down)});
@@ -1956,7 +1756,9 @@ void Coordinator::MarkMsuDown(MsuInfo& msu) {
 
   // In-flight background copies reading from or writing to the dead MSU die
   // with it; the surviving end is told to stop and the holds are refunded.
-  AbortReplicationsTouching(msu.node);
+  AbortReplicationsWhere(
+      [&msu](const ReplOp& op) { return op.source_msu == msu.node || op.target_msu == msu.node; },
+      "msu " + msu.node + " went down");
 
   // Partition the failed MSU's streams by group (every member of a group
   // lives on one MSU, so a group is lost whole or not at all).
@@ -2004,9 +1806,7 @@ void Coordinator::MarkMsuDown(MsuInfo& msu) {
       if (have_request && resume.record) {
         (void)catalog_->RemoveContent(resume.content);  // composite parent, if any
       }
-      if (recordings_lost_ != nullptr) {
-        recordings_lost_->Add();
-      }
+      Bump(obs_.recordings_lost);
       CALLIOPE_LOG(kWarning, "coord")
           << "MSU " << msu.node << " failed; recording group " << group << " lost";
       if (have_request) {
@@ -2044,26 +1844,13 @@ Task Coordinator::FailoverGroup(PendingRequest request) {
                  "group " + std::to_string(request.group) + " " + verdict);
   }
   if (started.ok()) {
-    if (failover_groups_ != nullptr) {
-      failover_groups_->Add();
-    }
+    Bump(obs_.failover_groups);
     CALLIOPE_LOG(kInfo, "coord") << "group " << request.group
                                  << " failed over to a surviving replica";
-    co_return;
   }
-  if (started.code() == StatusCode::kResourceExhausted) {
-    // No survivor holds a copy with bandwidth headroom right now; wait in
-    // the pending queue like any other unsatisfiable request.
-    if (!EnqueuePending(request)) {
-      CountRequestLost();
-      NotifyRequestFailed(std::move(request), UnavailableError("admission queue full"));
-    }
-    co_return;
-  }
-  CALLIOPE_LOG(kWarning, "coord") << "group " << request.group
-                                  << " failover failed: " << started.ToString();
-  CountRequestLost();
-  NotifyRequestFailed(std::move(request), started);
+  // No survivor with a copy and headroom: the group waits in the pending
+  // queue like any other unsatisfiable request.
+  (void)SettleAdmission(std::move(request), started, Origin::kReadmit, nullptr, failover_start);
 }
 
 Task Coordinator::NotifyRequestFailed(PendingRequest request, Status error) {
@@ -2079,157 +1866,136 @@ Task Coordinator::NotifyRequestFailed(PendingRequest request, Status error) {
   (void)sent;
 }
 
+// ---- admission funnel: settle, queue, drop (DESIGN §5.9) ----
+
+Status Coordinator::SettleAdmission(PendingRequest request, Status outcome, Origin origin,
+                                    const char* kind, SimTime start) {
+  // A client call books the final verdict (a full queue turns "queued" into
+  // "rejected"); a re-admission books the attempt's.
+  const bool book_final = origin == Origin::kClientCall;
+  if (kind != nullptr && !book_final) {
+    RecordAdmission(kind, request, outcome, start);
+  }
+  // "If a client's request cannot be satisfied, the Coordinator queues the
+  // request until an MSU with the necessary resources becomes available."
+  if (outcome.code() == StatusCode::kResourceExhausted && !EnqueuePending(request)) {
+    // The class queue is full: reject-newest, explicitly, rather than
+    // deepening a backlog that already exceeds what the deadline can clear.
+    outcome = UnavailableError("admission queue full");
+    DropRequest(request, DropCause::kQueueFull, outcome, origin);
+  } else if (!outcome.ok() && outcome.code() != StatusCode::kResourceExhausted) {
+    DropRequest(request, DropCause::kFailed, outcome, origin);
+  }
+  if (kind != nullptr && book_final) {
+    RecordAdmission(kind, request, outcome, start);
+  }
+  return outcome;
+}
+
+void Coordinator::DropRequest(PendingRequest request, DropCause cause, const Status& error,
+                              Origin origin) {
+  if (origin == Origin::kQueue) {
+    // The standby still holds the request, queued or parked for a retry.
+    ReplPendingDropped dropped;
+    dropped.group = request.group;
+    LogRecord(ReplRecord{std::move(dropped)});
+  }
+  const std::string what = request.content + " group " + std::to_string(request.group);
+  const std::string klass = std::string(AdmissionClassName(request.admission_class)) + " ";
+  switch (cause) {
+    case DropCause::kQueueFull:
+      Bump(ForClass(obs_.class_shed, request.admission_class));
+      TraceInstant("queue-full", klass + what);
+      break;
+    case DropCause::kShed:
+      Bump(ForClass(obs_.class_shed, request.admission_class));
+      Bump(obs_.shed_rejected);
+      TraceInstant("shed", klass + what);
+      break;
+    case DropCause::kExpired:
+      ++requests_expired_count_;
+      Bump(obs_.requests_expired);
+      Bump(ForClass(obs_.class_expired, request.admission_class));
+      TraceInstant("pending-expired", what);
+      break;
+    default:
+      break;
+  }
+  if (origin == Origin::kClientCall) {
+    return;  // the call's reply carries the refusal
+  }
+  CountRequestLost();
+  if (cause == DropCause::kSessionClosed) {
+    return;  // nobody left to tell
+  }
+  CALLIOPE_LOG(kWarning, "coord") << "request for '" << request.content << "' (group "
+                                  << request.group << ") dropped: " << error.ToString();
+  NotifyRequestFailed(std::move(request), error);
+}
+
 Task Coordinator::RetryPendingQueue() {
-  if (retry_scheduled_ || pending_.empty()) {
+  if (retry_scheduled_ || queue_.empty()) {
     co_return;
   }
   // Hold the guard for the whole pass: triggers landing mid-pass are covered
-  // because the loop re-reads pending_, which may grow meanwhile.
+  // because the loop re-reads the queue, which may grow meanwhile.
   retry_scheduled_ = true;
   co_await machine_->sim().Yield();  // run after the triggering event settles
-  if (params_.traffic.enabled) {
-    // Interactive outranks standard outranks bulk when freed capacity is
-    // handed out; stable within a class, so FIFO fairness survives.
-    std::stable_sort(pending_.begin(), pending_.end(),
-                     [](const PendingRequest& a, const PendingRequest& b) {
-                       return a.admission_class < b.admission_class;
-                     });
-  }
-  std::deque<PendingRequest> still_waiting;
-  while (!pending_.empty()) {
+  queue_.SortForRetry();
+  std::vector<PendingRequest> still_waiting;
+  while (!queue_.empty()) {
     if (crashed_) {
       retry_scheduled_ = false;
       co_return;  // the crash already dropped the queue's state
     }
-    PendingRequest request = std::move(pending_.front());
-    pending_.pop_front();
+    PendingRequest request = queue_.PopFront();
     ReplPendingPopped popped;
     popped.group = request.group;
     LogRecord(ReplRecord{std::move(popped)});
-    if (!FindSession(request.session).ok()) {
+    auto session = FindSession(request.session);
+    if (!session.ok()) {
       // The client went away while queued: the request is gone for good.
-      CountRequestLost();
+      DropRequest(std::move(request), DropCause::kSessionClosed, session.status(), Origin::kQueue);
       continue;
     }
     const SimTime admit_start = machine_->sim().Now();
     const Status started = co_await TryStartGroup(request);
-    if (started.code() != StatusCode::kResourceExhausted) {
-      // A still-exhausted retry stays queued and was already counted once.
-      RecordAdmission("retry", request, started, admit_start);
-    }
     if (started.code() == StatusCode::kResourceExhausted) {
+      // Still no room: it stays queued and was already counted once.
       still_waiting.push_back(std::move(request));
-    } else if (!started.ok()) {
-      // Never drop a queued request silently: the client is told its group
-      // is dead so it can stop waiting for a stream that will never arrive.
-      CALLIOPE_LOG(kWarning, "coord") << "queued request for '" << request.content
-                                      << "' failed permanently: " << started.ToString();
-      CountRequestLost();
-      NotifyRequestFailed(std::move(request), started);
+    } else {
+      (void)SettleAdmission(std::move(request), started, Origin::kQueue, "retry", admit_start);
     }
   }
   // Re-queue this pass's failures behind anything newly queued. A re-queue
   // keeps its original enqueue stamp and never re-checks the class cap: the
   // request already holds its queue slot.
-  for (PendingRequest& request : still_waiting) {
-    (void)EnqueuePending(std::move(request), /*requeue=*/true);
+  for (const PendingRequest& request : still_waiting) {
+    (void)EnqueuePending(request, /*requeue=*/true);
   }
   ScheduleExpirySweep();  // cancels the armed sweep if the queue drained
   retry_scheduled_ = false;
 }
 
-// ---- pending-queue bounds, deadlines and shedding (DESIGN §5.9) ----
-
-bool Coordinator::EnqueuePending(PendingRequest request, bool requeue) {
-  if (!requeue && params_.traffic.enabled) {
-    const int cap = QueueCapFor(request.admission_class);
-    if (cap > 0 && pending_count_for(request.admission_class) >= static_cast<size_t>(cap)) {
-      const size_t klass = static_cast<size_t>(request.admission_class);
-      if (klass < kAdmissionClassCount && class_shed_[klass] != nullptr) {
-        class_shed_[klass]->Add();
-      }
-      if (trace_ != nullptr) {
-        trace_->Instant(trace_track_, metrics_prefix_, "queue-full",
-                        std::string(AdmissionClassName(request.admission_class)) + " " +
-                            request.content + " group " + std::to_string(request.group));
-      }
-      return false;
-    }
-  }
-  if (request.enqueued_at == SimTime()) {
-    request.enqueued_at = machine_->sim().Now();
+bool Coordinator::EnqueuePending(const PendingRequest& request, bool requeue) {
+  if (!queue_.Push(request, machine_->sim().Now(), requeue)) {
+    return false;
   }
   ReplPendingPushed pushed;
-  pushed.request = request;
+  pushed.request = queue_.requests().back();
   LogRecord(ReplRecord{std::move(pushed)});
-  pending_.push_back(std::move(request));
   ScheduleExpirySweep();
   return true;
 }
 
-SimTime Coordinator::QueueDeadlineFor(AdmissionClass klass) const {
-  if (params_.traffic.enabled) {
-    SimTime deadline;
-    switch (klass) {
-      case AdmissionClass::kInteractive:
-        deadline = params_.traffic.interactive_deadline;
-        break;
-      case AdmissionClass::kStandard:
-        deadline = params_.traffic.standard_deadline;
-        break;
-      case AdmissionClass::kBulk:
-        deadline = params_.traffic.bulk_deadline;
-        break;
-    }
-    if (deadline > SimTime()) {
-      return deadline;
-    }
-  }
-  return params_.pending_deadline;
-}
-
-int Coordinator::QueueCapFor(AdmissionClass klass) const {
-  switch (klass) {
-    case AdmissionClass::kInteractive:
-      return params_.traffic.interactive_queue_cap;
-    case AdmissionClass::kStandard:
-      return params_.traffic.standard_queue_cap;
-    case AdmissionClass::kBulk:
-      return params_.traffic.bulk_queue_cap;
-  }
-  return 0;
-}
-
-size_t Coordinator::pending_count_for(AdmissionClass klass) const {
-  size_t count = 0;
-  for (const PendingRequest& request : pending_) {
-    if (request.admission_class == klass) {
-      ++count;
-    }
-  }
-  return count;
-}
-
 void Coordinator::ScheduleExpirySweep() {
-  SimTime earliest;
-  bool any = false;
-  for (const PendingRequest& request : pending_) {
-    const SimTime deadline = QueueDeadlineFor(request.admission_class);
-    if (request.enqueued_at == SimTime() || !(deadline > SimTime())) {
-      continue;  // no stamp (replicated legacy state) or deadline disabled
-    }
-    const SimTime expires = request.enqueued_at + deadline;
-    if (!any || expires < earliest) {
-      earliest = expires;
-      any = true;
-    }
-  }
-  if (!any) {
+  const std::optional<SimTime> earliest = queue_.NextExpiry();
+  if (!earliest.has_value()) {
     expiry_token_.Cancel();
     expiry_armed_at_ = SimTime();
     return;
   }
-  const SimTime fire_at = std::max(earliest, machine_->sim().Now());
+  const SimTime fire_at = std::max(*earliest, machine_->sim().Now());
   if (expiry_armed_at_ != SimTime() && expiry_armed_at_ <= fire_at) {
     return;  // an armed sweep already fires no later than needed
   }
@@ -2240,42 +2006,12 @@ void Coordinator::ScheduleExpirySweep() {
 
 void Coordinator::RunExpirySweep() {
   expiry_armed_at_ = SimTime();
-  if (crashed_ || (params_.ha.enabled && role_ != HaRole::kPrimary)) {
+  if (crashed_ || !is_primary()) {
     return;  // re-armed on restart/takeover
   }
-  const SimTime now = machine_->sim().Now();
-  std::vector<PendingRequest> expired;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    const SimTime deadline = QueueDeadlineFor(it->admission_class);
-    if (it->enqueued_at != SimTime() && deadline > SimTime() &&
-        now >= it->enqueued_at + deadline) {
-      expired.push_back(std::move(*it));
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (PendingRequest& request : expired) {
-    ReplPendingPopped popped;
-    popped.group = request.group;
-    LogRecord(ReplRecord{std::move(popped)});
-    ++requests_expired_count_;
-    if (requests_expired_metric_ != nullptr) {
-      requests_expired_metric_->Add();
-    }
-    const size_t klass = static_cast<size_t>(request.admission_class);
-    if (klass < kAdmissionClassCount && class_expired_[klass] != nullptr) {
-      class_expired_[klass]->Add();
-    }
-    CountRequestLost();
-    if (trace_ != nullptr) {
-      trace_->Instant(trace_track_, metrics_prefix_, "pending-expired",
-                      request.content + " group " + std::to_string(request.group));
-    }
-    CALLIOPE_LOG(kWarning, "coord")
-        << "queued request for '" << request.content << "' (group " << request.group
-        << ") expired after its queue deadline";
-    NotifyRequestFailed(std::move(request), DeadlineExceededError("queued past deadline"));
+  for (PendingRequest& request : queue_.TakeExpired(machine_->sim().Now())) {
+    DropRequest(std::move(request), DropCause::kExpired,
+                DeadlineExceededError("queued past deadline"), Origin::kQueue);
   }
   ScheduleExpirySweep();
 }
@@ -2286,11 +2022,11 @@ Task Coordinator::ShedGovernorLoop() {
   }
   governor_loop_running_ = true;
   while (!crashed_) {
-    co_await machine_->sim().Delay(params_.traffic.governor_interval);
+    co_await machine_->sim().Delay(kGovernorInterval);
     if (crashed_) {
       break;
     }
-    if (params_.ha.enabled && role_ != HaRole::kPrimary) {
+    if (!is_primary()) {
       continue;  // only the primary owns the queue
     }
     const bool overloaded = overload_probe_ != nullptr && overload_probe_();
@@ -2298,61 +2034,36 @@ Task Coordinator::ShedGovernorLoop() {
       if (shed_active_) {
         shed_active_ = false;
         rebalance_paused_ = false;
-        if (trace_ != nullptr) {
-          trace_->Instant(trace_track_, metrics_prefix_, "shed-clear");
-        }
+        TraceInstant("shed-clear");
       }
       continue;
     }
     if (!shed_active_) {
       shed_active_ = true;
-      if (shed_episodes_ != nullptr) {
-        shed_episodes_->Add();
-      }
-      if (trace_ != nullptr) {
-        trace_->Instant(trace_track_, metrics_prefix_, "shed-start");
-      }
+      Bump(obs_.shed_episodes);
+      TraceInstant("shed-start");
     }
     // Bulk replication is the first casualty: pause the planner and abort
     // in-flight copies so their disk and NIC bandwidth serves viewers.
     if (params_.rebalance.enabled && !rebalance_paused_) {
       rebalance_paused_ = true;
-      if (shed_rebalance_paused_ != nullptr) {
-        shed_rebalance_paused_->Add();
-      }
-      std::vector<int64_t> inflight;
-      for (const auto& [op_id, op] : repl_ops_) {
-        inflight.push_back(op_id);
-      }
-      for (int64_t op_id : inflight) {
-        AbortReplication(op_id, "load shedding");
-      }
-      if (!inflight.empty()) {
+      Bump(obs_.shed_rebalance_paused);
+      if (AbortReplicationsWhere([](const ReplOp&) { return true; }, "load shedding") > 0) {
         continue;  // see whether the freed bandwidth clears the breach first
       }
     }
     // Shed queued requests newest-first, bulk before standard; interactive
     // traffic is never shed.
-    int budget = params_.traffic.shed_per_tick;
-    for (AdmissionClass klass : {AdmissionClass::kBulk, AdmissionClass::kStandard}) {
+    int budget = kShedPerTick;
+    for (AdmissionClass klass : kShedOrder) {
       while (budget > 0) {
-        auto victim = pending_.end();
-        for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-          if (it->admission_class == klass) {
-            victim = it;  // the last match is the newest arrival
-          }
-        }
-        if (victim == pending_.end()) {
+        std::optional<PendingRequest> victim = queue_.TakeNewest(klass);
+        if (!victim.has_value()) {
           break;
         }
-        PendingRequest request = std::move(*victim);
-        pending_.erase(victim);
-        ReplPendingPopped popped;
-        popped.group = request.group;
-        LogRecord(ReplRecord{std::move(popped)});
         --budget;
-        co_await ShedRequest(std::move(request));
-        if (crashed_ || (params_.ha.enabled && role_ != HaRole::kPrimary)) {
+        co_await ShedRequest(std::move(*victim));
+        if (crashed_ || !is_primary()) {
           break;
         }
       }
@@ -2363,38 +2074,18 @@ Task Coordinator::ShedGovernorLoop() {
 }
 
 Co<void> Coordinator::ShedRequest(PendingRequest request) {
-  if (params_.traffic.degrade_to_attach && SharingEligible(request)) {
+  if (kDegradeShedToAttach && SharingEligible(request)) {
     // Graceful degradation: a viewer within a live group's cache horizon can
     // ride the interval cache with no disk reservation at all.
-    const SharedGroup* target = FindAttachTarget(request.content);
-    if (target != nullptr) {
-      const Status attached = co_await StartCacheAttach(request, *target);
-      if (attached.ok()) {
-        if (shed_degraded_ != nullptr) {
-          shed_degraded_->Add();
-        }
-        if (trace_ != nullptr) {
-          trace_->Instant(trace_track_, metrics_prefix_, "shed-degrade",
-                          request.content + " group " + std::to_string(request.group));
-        }
-        co_return;
-      }
+    const Status attached = co_await StartCacheAttach(request);
+    if (attached.ok()) {
+      Bump(obs_.shed_degraded);
+      TraceInstant("shed-degrade", request.content + " group " + std::to_string(request.group));
+      co_return;
     }
   }
-  const size_t klass = static_cast<size_t>(request.admission_class);
-  if (klass < kAdmissionClassCount && class_shed_[klass] != nullptr) {
-    class_shed_[klass]->Add();
-  }
-  if (shed_rejected_ != nullptr) {
-    shed_rejected_->Add();
-  }
-  CountRequestLost();
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "shed",
-                    std::string(AdmissionClassName(request.admission_class)) + " " +
-                        request.content + " group " + std::to_string(request.group));
-  }
-  NotifyRequestFailed(std::move(request), UnavailableError("shed under overload"));
+  DropRequest(std::move(request), DropCause::kShed, UnavailableError("shed under overload"),
+              Origin::kQueue);
 }
 
 bool Coordinator::MsuUp(const std::string& node) const { return ledger_.IsUp(node); }

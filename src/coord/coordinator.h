@@ -16,13 +16,13 @@
 #ifndef CALLIOPE_SRC_COORD_COORDINATOR_H_
 #define CALLIOPE_SRC_COORD_COORDINATOR_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/coord/admission_queue.h"
 #include "src/coord/catalog.h"
 #include "src/coord/replication.h"
 #include "src/hw/machine.h"
@@ -61,13 +61,13 @@ struct SharingConfig {
   double hot_threshold = 3.0;
 };
 
-// SLO-driven traffic control (DESIGN §5.9). Disabled by default: with
-// `enabled == false` the pending queue stays one classless FIFO and no
-// governor runs, byte-identical to the pre-traffic-control admission path.
-// Enabled, each request's AdmissionClass buys it a bounded queue slot, a
-// class deadline, retry priority (interactive > standard > bulk) and
-// shedding protection — the saturation governor never sheds interactive
-// traffic and pauses background rebalancing before touching any viewer.
+// SLO-driven traffic control (DESIGN §5.9). Disabled by default: the pending
+// queue is then one class (FIFO, no cap, CoordinatorParams::pending_deadline)
+// and no governor runs. Enabled, each request's AdmissionClass buys it a
+// bounded queue slot, a class deadline, retry priority (interactive >
+// standard > bulk) and shedding protection — the saturation governor never
+// sheds interactive traffic and pauses background rebalancing before
+// touching any viewer.
 struct TrafficControlConfig {
   TrafficControlConfig() = default;
 
@@ -84,18 +84,18 @@ struct TrafficControlConfig {
   SimTime interactive_deadline = SimTime::Seconds(10);
   SimTime standard_deadline = SimTime::Seconds(30);
   SimTime bulk_deadline = SimTime::Seconds(120);
-  // Saturation-governor cadence. Each tick consults the overload probe
-  // (Installation wires it to a MetricsSampler SLO monitor) and sheds while
-  // the probe reports a breach.
-  SimTime governor_interval = SimTime::Millis(500);
-  // Queued requests shed per governor tick, newest-first, bulk before
-  // standard. Bounded so one long breach degrades gradually rather than
-  // emptying the queue in a single burst.
-  int shed_per_tick = 4;
-  // Before rejecting a shed viewer outright, try re-admitting it as a
-  // cache-horizon attach (no disk bandwidth; needs sharing enabled).
-  bool degrade_to_attach = true;
 };
+
+// Fixed traffic-control tuning. Every kGovernorInterval the saturation
+// governor consults the overload probe (Installation wires it to a
+// MetricsSampler SLO monitor); while it reports a breach, each tick sheds up
+// to kShedPerTick queued requests, newest-first, bulk before standard, so a
+// long breach degrades gradually rather than emptying the queue at once. With
+// kDegradeShedToAttach a shed viewer first tries a cache-horizon attach (no
+// disk bandwidth; needs sharing).
+inline constexpr SimTime kGovernorInterval = SimTime::Millis(500);
+inline constexpr int kShedPerTick = 4;
+inline constexpr bool kDegradeShedToAttach = true;
 
 struct CoordinatorParams {
   int listen_port = 5000;
@@ -162,7 +162,7 @@ class Coordinator {
   bool MsuUp(const std::string& node) const;
   size_t msu_count() const { return msus_.size(); }
   size_t active_stream_count() const { return active_streams_.size(); }
-  size_t pending_request_count() const { return pending_.size(); }
+  size_t pending_request_count() const { return queue_.size(); }
   int64_t requests_handled() const { return requests_handled_; }
   DataRate DiskLoad(const std::string& msu, int disk) const;
   Bytes MsuFreeSpace(const std::string& msu) const;
@@ -191,7 +191,7 @@ class Coordinator {
   // episode's first breaching tick and its clear).
   bool shedding_active() const { return shed_active_; }
   // Queued requests currently waiting in `klass`.
-  size_t pending_count_for(AdmissionClass klass) const;
+  size_t pending_count_for(AdmissionClass klass) const { return queue_.count(klass); }
 
   // Publishes admission/failover/ledger instruments into `metrics` and
   // scheduling events into `trace`. Either may be null (standalone
@@ -290,12 +290,10 @@ class Coordinator {
   // Decays and bumps the title's popularity EWMA (a request arrived).
   void BumpPopularity(const std::string& content);
   bool IsHot(const std::string& content) const;
-  // Live shared group on an up MSU whose playback position trails within the
-  // cache horizon, or nullptr.
-  const SharedGroup* FindAttachTarget(const std::string& content) const;
-  // Admits `request` as a cache-fed solo stream trailing `target` (no disk
-  // bandwidth; NIC + interval-cache bytes on the serving MSU).
-  Co<Status> StartCacheAttach(PendingRequest request, SharedGroup target);
+  // Admits `request` as a cache-fed solo stream trailing a live group of its
+  // title within the cache horizon on an up MSU (no disk bandwidth; NIC +
+  // interval-cache bytes there). kNotFound when no group qualifies.
+  Co<Status> StartCacheAttach(PendingRequest request);
   // Closes the batch window for `content`, then starts one delivery stream
   // fanning out to every waiter still holding a live session.
   Task FlushShareBatch(std::string content);
@@ -305,22 +303,10 @@ class Coordinator {
   Co<MessageBody> HandleSharedMemberSplit(const SharedMemberSplit& split);
 
   // ---- background rebalancing (DESIGN §5.8) ----
-  // One in-flight background copy, mirrored on the HA standby through
-  // ReplReplicationStarted/Ended records so takeover keeps the plan.
-  struct ReplOp {
-    ReplOp() = default;
-
-    int64_t op = 0;
-    std::string content;
-    std::string source_msu;
-    int source_disk = 0;
-    std::string source_file;
-    std::string target_msu;
-    int target_disk = -1;
-    std::string replica_file;
-    DataRate rate;
-    Bytes space;  // estimated replica size, held against the target
-  };
+  // One in-flight background copy. Its oplog record doubles as the
+  // bookkeeping, so the HA standby mirrors it verbatim and takeover keeps
+  // the plan.
+  using ReplOp = ReplReplicationStarted;
 
   // Periodic planner tick: snapshot → PlanRebalance → execute. Runs on every
   // coordinator with rebalancing enabled but only acts while primary.
@@ -340,41 +326,73 @@ class Coordinator {
   // Forgets op `op_id`: refunds its ledger holds, logs ReplReplicationEnded
   // and tells both ends to stop (idempotent; dead MSUs are skipped).
   void AbortReplication(int64_t op_id, const std::string& reason);
-  Task SendAbortCopy(std::string msu_node, int64_t op_id);
-  Task SendDeleteFile(std::string msu_node, std::string file);
-  // Every in-flight copy reading from or writing to `msu_node` dies with it.
-  void AbortReplicationsTouching(const std::string& msu_node);
+  void SendAbortCopy(const std::string& msu_node, int64_t op_id);
+  void SendDeleteFile(const std::string& msu_node, std::string file);
+  // Fire-and-forget command to a live MSU (a dead one is skipped).
+  Task SendToMsu(std::string msu_node, MessageBody command);
+  // Aborts every in-flight copy `doomed` selects; returns how many.
+  int64_t AbortReplicationsWhere(const std::function<bool(const ReplOp&)>& doomed,
+                                 const std::string& reason);
 
   // ---- scheduling core ----
   // Starts all component streams of a (possibly composite) request on one
   // MSU. Returns kResourceExhausted when no MSU currently qualifies (the
   // caller queues the request).
   Co<Status> TryStartGroup(const PendingRequest& request);
+  // A stream to book once the MSU acks: it takes hold `hold` of the launch's
+  // transaction; `request` (if set) re-places its group if the MSU dies.
+  struct Booking {
+    ActiveStream stream;
+    size_t hold = 0;
+    const PendingRequest* request = nullptr;
+  };
+  // The MSU launch sequence every admission path shares: stamps `start` with
+  // our epoch, sends it to `msu_node`, checks the ack, then books each stream
+  // (ledger hold, active_streams_, groups_, group_requests_). On a refusal
+  // nothing is booked and the caller's transaction refunds the holds.
+  Co<Status> LaunchOnMsu(const std::string& msu_node, MsuStartStream start,
+                         ResourceLedger::Txn& txn, std::vector<Booking> bookings);
+
+  // Where a request being admitted comes from: decides who tells the client
+  // about a refusal, and whether the HA standby holds a copy to forget.
+  enum class Origin {
+    kClientCall,  // a Play/Record call: its reply carries any refusal
+    kReadmit,     // our own re-admission (VCR split, failover, shared batch)
+    kQueue,       // a queued request: as kReadmit, and the standby forgets it
+  };
+  // Why a request leaves the admission path without a stream.
+  enum class DropCause { kQueueFull, kFailed, kSessionClosed, kExpired, kShed };
+  // Admission's one funnel: settles an attempt's `outcome` for `request`.
+  // Started: done; kResourceExhausted: queued, or dropped if its class queue
+  // is full; anything else: dropped. `kind` names the "admit:<kind>" span
+  // (null: none): a client call books the final verdict, a re-admission the
+  // attempt's. Returns what the client is told (ok, queued or the refusal).
+  Status SettleAdmission(PendingRequest request, Status outcome, Origin origin,
+                         const char* kind, SimTime start);
+  // The one exit for a request that will never run: counts and traces it by
+  // cause, then — unless a client call's reply carries the refusal — counts
+  // it lost and notifies the client. A request the queue held is logged as
+  // ReplPendingDropped so a takeover cannot revive it.
+  void DropRequest(PendingRequest request, DropCause cause, const Status& error, Origin origin);
+  // Retries the queue in policy order; still-exhausted requests go back in
+  // line behind anything queued meanwhile.
   Task RetryPendingQueue();
-  // The single entrance to the pending queue: stamps the first enqueue time,
-  // enforces the per-class queue cap, logs ReplPendingPushed and arms the
-  // expiry sweep. Returns false when the class queue is full (the caller
-  // rejects the request explicitly — nothing was queued). Re-queues after a
-  // failed retry pass `requeue` so they keep the original stamp and bypass
-  // the cap (the request already held a slot this pass).
-  bool EnqueuePending(PendingRequest request, bool requeue = false);
-  // Queue deadline for a class: the per-class override when traffic control
-  // is on, else CoordinatorParams::pending_deadline. Zero = no deadline.
-  SimTime QueueDeadlineFor(AdmissionClass klass) const;
-  int QueueCapFor(AdmissionClass klass) const;
+  // The single entrance to the pending queue: applies the class cap (skipped
+  // by a `requeue`), logs ReplPendingPushed and arms the expiry sweep.
+  // Returns false when the class queue is full — nothing was queued.
+  bool EnqueuePending(const PendingRequest& request, bool requeue = false);
   // (Re)arms the one-shot expiry event at the earliest pending deadline;
-  // cancels it when the queue is empty or expiry is disabled.
+  // cancels it when nothing queued can expire.
   void ScheduleExpirySweep();
-  // Expires every request past its deadline: explicit PendingRequestFailed,
-  // `coord.requests.expired`, then re-arms for the next deadline.
+  // Drops every request past its deadline, then re-arms for the next one.
   void RunExpirySweep();
   // Saturation governor (traffic control only): while the overload probe
   // reports an SLO breach, pause/abort background rebalancing first, then
   // shed queued bulk/standard requests newest-first. Interactive requests
   // are never shed.
   Task ShedGovernorLoop();
-  // Sheds one queued request: with degrade_to_attach, tries a cache-horizon
-  // attach before the explicit rejection.
+  // Sheds one queued request: with kDegradeShedToAttach, tries a
+  // cache-horizon attach before the explicit rejection.
   Co<void> ShedRequest(PendingRequest request);
   // Replica-aware failover: re-places one interrupted playback group on the
   // surviving MSUs, resuming near the last known media offsets.
@@ -395,12 +413,16 @@ class Coordinator {
   // space estimates and candidate copies.
   Result<PlacementSpec> BuildPlacementSpec(const PendingRequest& request,
                                            const std::vector<Component>& components);
-  // Admission outcome bookkeeping shared by the play/record/retry paths:
-  // bumps the right counter and emits an "admit" span for the decision.
+  // Admission verdict bookkeeping for SettleAdmission: bumps the right
+  // counter and emits an "admit" span for the decision.
   void RecordAdmission(const char* kind, const PendingRequest& request, const Status& outcome,
                        SimTime start);
-  // Bumps the lost-requests counter for a queued request dropped for good.
+  // Bumps the lost-requests counter for requests dropped for good.
   void CountRequestLost(int64_t count = 1);
+  // Adds to `counter` when observability is attached (it is null otherwise).
+  static void Bump(Counter* counter, int64_t count = 1);
+  // A trace instant on this coordinator's track (no-op without a recorder).
+  void TraceInstant(const char* name, const std::string& detail = "");
 
   // ---- HA / log shipping (definitions in replication.cc) ----
   // Called from the constructor when params_.ha.enabled.
@@ -416,11 +438,13 @@ class Coordinator {
   Co<MessageBody> HandleReplAppend(TcpConn* conn, const ReplAppendRequest& request);
   void ApplyReplRecord(const ReplRecord& record);
   std::vector<ReplRecord> BuildSnapshotRecords() const;
+  // Replicates a live group: streams, ledger holds, originating request.
+  ReplGroupStarted GroupStartedRecord(GroupId group, const PendingRequest& request) const;
   // Clears all replicated scheduling state (not the catalog, not counters).
   void ResetVolatileState();
-  // Removes `group`'s parked request from the in-flight retry list (its
-  // outcome record arrived).
-  void DropInFlight(GroupId group);
+  // Ends the log-shipping session both ways: unjoined, the next batch a full
+  // snapshot, the oplog empty and its counters zeroed.
+  void ResetOplog();
   // Primary lost its lease (partition) or saw a higher epoch: fence ourself.
   void StepDown();
   // Standby assumes the primaryship under `new_epoch`.
@@ -440,16 +464,15 @@ class Coordinator {
   // Snapshot of the request that started each live group, kept so a failed
   // MSU's groups can be re-placed; erased when the group ends normally.
   std::map<GroupId, PendingRequest> group_requests_;
-  std::deque<PendingRequest> pending_;
+  // Requests waiting for room, with the queue policy chosen at construction
+  // (one class unless traffic control is on). On a standby it also parks
+  // requests the primary popped for a retry whose outcome is not logged yet.
+  AdmissionQueue queue_;
   // ---- sharing state (empty unless params_.sharing.enabled) ----
   std::map<StreamId, SharedGroup> shared_groups_;
   std::map<std::string, ShareBatch> share_batches_;  // title -> open batch
   std::map<std::string, double> popularity_;         // title -> EWMA
   std::map<std::string, SimTime> popularity_bumped_;  // title -> last bump
-  // Standby shadow: requests the primary popped for a retry whose outcome
-  // has not been logged yet. Re-queued on takeover (zero-amnesia for a crash
-  // mid-retry); always empty on a primary.
-  std::vector<PendingRequest> repl_in_flight_;
   // ---- rebalancing state (empty unless params_.rebalance.enabled) ----
   std::map<int64_t, ReplOp> repl_ops_;  // in-flight background copies
   int64_t next_repl_op_ = 1;
@@ -494,43 +517,46 @@ class Coordinator {
   std::unique_ptr<Condition> oplog_cond_;  // wakes the shipping loop
   std::unique_ptr<Condition> flush_cond_;  // wakes SyncReplicate waiters
 
-  // Observability (null when not attached). Counter pointers are cached once
-  // at attach time; callbacks pull gauges at snapshot time.
+  // Observability (null when not attached). Instruments are cached once at
+  // attach time; callbacks pull gauges at snapshot time.
   MetricsRegistry* metrics_ = nullptr;
   TraceRecorder* trace_ = nullptr;
   std::string metrics_prefix_ = "coord";
   std::string trace_track_ = "coordinator";
-  Counter* admit_accepted_ = nullptr;
-  Counter* admit_rejected_ = nullptr;
-  Counter* admit_queued_ = nullptr;
-  Counter* failover_groups_ = nullptr;
-  Counter* groups_formed_ = nullptr;     // shared delivery groups started
-  Counter* groups_members_ = nullptr;    // viewers admitted through a batch
-  Counter* groups_attaches_ = nullptr;   // cache-fed trailing-viewer admits
-  Counter* groups_splits_ = nullptr;     // members split out by VCR ops
-  Counter* recordings_lost_ = nullptr;
-  Counter* requests_lost_metric_ = nullptr;
-  Counter* takeovers_metric_ = nullptr;
-  Counter* repl_batches_ = nullptr;
-  Counter* repl_records_shipped_ = nullptr;
-  Histogram* takeover_gap_us_ = nullptr;
-  Counter* rebalance_ticks_ = nullptr;
-  Counter* rebalance_copies_started_ = nullptr;
-  Counter* rebalance_copies_installed_ = nullptr;
-  Counter* rebalance_copies_aborted_ = nullptr;
-  Counter* rebalance_preemptions_ = nullptr;
-  Counter* rebalance_demotions_ = nullptr;
-  Counter* requests_expired_metric_ = nullptr;
-  // Per-class admission counters, indexed by AdmissionClass value; null
-  // unless traffic control is enabled.
-  Counter* class_accepted_[kAdmissionClassCount] = {};
-  Counter* class_queued_[kAdmissionClassCount] = {};
-  Counter* class_shed_[kAdmissionClassCount] = {};
-  Counter* class_expired_[kAdmissionClassCount] = {};
-  Counter* shed_episodes_ = nullptr;
-  Counter* shed_rejected_ = nullptr;
-  Counter* shed_degraded_ = nullptr;
-  Counter* shed_rebalance_paused_ = nullptr;
+  struct Instruments {
+    Counter* admit_accepted = nullptr;
+    Counter* admit_rejected = nullptr;
+    Counter* admit_queued = nullptr;
+    Counter* failover_groups = nullptr;
+    Counter* groups_formed = nullptr;    // shared delivery groups started
+    Counter* groups_members = nullptr;   // viewers admitted through a batch
+    Counter* groups_attaches = nullptr;  // cache-fed trailing-viewer admits
+    Counter* groups_splits = nullptr;    // members split out by VCR ops
+    Counter* recordings_lost = nullptr;
+    Counter* requests_lost = nullptr;
+    Counter* takeovers = nullptr;
+    Counter* repl_batches = nullptr;
+    Counter* repl_records_shipped = nullptr;
+    Histogram* takeover_gap_us = nullptr;
+    Counter* rebalance_ticks = nullptr;
+    Counter* rebalance_copies_started = nullptr;
+    Counter* rebalance_copies_installed = nullptr;
+    Counter* rebalance_copies_aborted = nullptr;
+    Counter* rebalance_preemptions = nullptr;
+    Counter* rebalance_demotions = nullptr;
+    Counter* requests_expired = nullptr;
+    // Per-class admission counters, indexed by AdmissionClass value; null
+    // unless traffic control is enabled.
+    Counter* class_accepted[kAdmissionClassCount] = {};
+    Counter* class_queued[kAdmissionClassCount] = {};
+    Counter* class_shed[kAdmissionClassCount] = {};
+    Counter* class_expired[kAdmissionClassCount] = {};
+    Counter* shed_episodes = nullptr;
+    Counter* shed_rejected = nullptr;
+    Counter* shed_degraded = nullptr;
+    Counter* shed_rebalance_paused = nullptr;
+  };
+  Instruments obs_;
 };
 
 }  // namespace calliope

@@ -27,18 +27,21 @@ void Coordinator::StartHa() {
 
 void Coordinator::BecomeStandby() {
   role_ = HaRole::kStandby;
+  ResetOplog();
+  repl_conn_ = nullptr;
+  standby_since_ = machine_->sim().Now();
+  last_append_ = standby_since_;
+  TraceInstant("standby", "epoch " + std::to_string(epoch_));
+  StandbyWatchdog();
+}
+
+void Coordinator::ResetOplog() {
   joined_ = false;
   peer_joined_ = false;
   need_snapshot_ = true;
   pending_records_.clear();
-  repl_conn_ = nullptr;
-  standby_since_ = machine_->sim().Now();
-  last_append_ = standby_since_;
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "standby",
-                    "epoch " + std::to_string(epoch_));
-  }
-  StandbyWatchdog();
+  oplog_appended_ = 0;
+  oplog_acked_ = 0;
 }
 
 void Coordinator::LogRecord(ReplRecord record) {
@@ -164,20 +167,15 @@ Task Coordinator::ReplicationLoop() {
     if (snapshot) {
       peer_joined_ = true;
       need_snapshot_ = false;
-      if (trace_ != nullptr) {
-        trace_->Instant(trace_track_, metrics_prefix_, "standby-joined",
-                        std::to_string(batch_size) + " snapshot records");
-      }
+      TraceInstant("standby-joined", std::to_string(batch_size) + " snapshot records");
     }
     if (batch_target > oplog_acked_) {
       oplog_acked_ = batch_target;
     }
     flush_cond_->NotifyAll();
-    if (repl_batches_ != nullptr) {
-      repl_batches_->Add();
-    }
-    if (repl_records_shipped_ != nullptr && batch_size > 0) {
-      repl_records_shipped_->Add(static_cast<int64_t>(batch_size));
+    Bump(obs_.repl_batches);
+    if (batch_size > 0) {
+      Bump(obs_.repl_records_shipped, static_cast<int64_t>(batch_size));
     }
     if (pending_records_.empty() && !need_snapshot_) {
       // Idle: sleep until new records or the heartbeat deadline (empty
@@ -359,7 +357,7 @@ void Coordinator::ApplyReplRecord(const ReplRecord& record) {
       groups_[r->group].push_back(member.stream);
     }
     group_requests_[r->group] = r->request;
-    DropInFlight(r->group);  // the retry the pop announced has landed
+    queue_.Unpark(r->group);  // the retry the pop announced has landed
     return;
   }
   if (const auto* r = std::get_if<ReplStreamEnded>(&record)) {
@@ -384,38 +382,19 @@ void Coordinator::ApplyReplRecord(const ReplRecord& record) {
     return;
   }
   if (const auto* r = std::get_if<ReplPendingPushed>(&record)) {
-    DropInFlight(r->request.group);  // an exhausted retry went back in line
-    pending_.push_back(r->request);
+    queue_.Mirror(r->request);
     return;
   }
   if (const auto* r = std::get_if<ReplPendingPopped>(&record)) {
-    // Don't forget the request yet: the primary popped it to retry, but may
-    // die before logging the outcome. It parks in the in-flight list until a
-    // ReplGroupStarted / ReplPendingPushed resolves it; takeover re-queues
-    // whatever is still parked, so a crash mid-retry never loses a request
-    // the client was told is queued.
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (it->group == r->group) {
-        repl_in_flight_.push_back(std::move(*it));
-        pending_.erase(it);
-        break;
-      }
-    }
+    queue_.Park(r->group);  // until the retry's outcome is logged
+    return;
+  }
+  if (const auto* r = std::get_if<ReplPendingDropped>(&record)) {
+    queue_.Forget(r->group);
     return;
   }
   if (const auto* r = std::get_if<ReplReplicationStarted>(&record)) {
-    ReplOp op;
-    op.op = r->op;
-    op.content = r->content;
-    op.source_msu = r->source_msu;
-    op.source_disk = r->source_disk;
-    op.source_file = r->source_file;
-    op.target_msu = r->target_msu;
-    op.target_disk = r->target_disk;
-    op.replica_file = r->replica_file;
-    op.rate = r->rate;
-    op.space = r->space;
-    repl_ops_[r->op] = std::move(op);
+    repl_ops_[r->op] = *r;
     if (r->op >= next_repl_op_) {
       // Post-takeover mints must not collide with ops the MSUs still track.
       next_repl_op_ = r->op + 1;
@@ -487,56 +466,52 @@ std::vector<ReplRecord> Coordinator::BuildSnapshotRecords() const {
     }
   }
   for (const auto& [group, request] : group_requests_) {
-    ReplGroupStarted started;
-    started.group = group;
-    started.request = request;
-    auto group_it = groups_.find(group);
-    if (group_it != groups_.end()) {
-      for (StreamId id : group_it->second) {
-        auto stream_it = active_streams_.find(id);
-        if (stream_it == active_streams_.end()) {
-          continue;
-        }
-        const ActiveStream& active = stream_it->second;
-        started.msu = active.msu;
-        ReplStreamMember member;
-        member.stream = id;
-        member.disk = active.disk;
-        member.component = active.component;
-        member.content_item = active.content_item;
-        member.recording = active.recording;
-        auto hold = ledger_.FindHold(id);
-        if (hold.has_value()) {
-          member.rate = hold->rate;
-          member.space = hold->space;
-        }
-        member.offset = active.last_offset;
-        started.members.push_back(std::move(member));
-      }
-    }
-    records.push_back(ReplRecord{std::move(started)});
+    records.push_back(ReplRecord{GroupStartedRecord(group, request)});
   }
-  for (const PendingRequest& request : pending_) {
+  for (const PendingRequest& request : queue_.requests()) {
     ReplPendingPushed pushed;
     pushed.request = request;
     records.push_back(ReplRecord{std::move(pushed)});
   }
   for (const auto& [op_id, op] : repl_ops_) {
-    ReplReplicationStarted started;
-    started.op = op_id;
-    started.content = op.content;
-    started.source_msu = op.source_msu;
-    started.source_disk = op.source_disk;
-    started.source_file = op.source_file;
-    started.target_msu = op.target_msu;
-    started.target_disk = op.target_disk;
-    started.replica_file = op.replica_file;
-    started.rate = op.rate;
-    started.space = op.space;
-    records.push_back(ReplRecord{std::move(started)});
+    records.push_back(ReplRecord{op});
   }
   return records;
 }
+
+ReplGroupStarted Coordinator::GroupStartedRecord(GroupId group,
+                                                 const PendingRequest& request) const {
+  ReplGroupStarted started;
+  started.group = group;
+  started.request = request;
+  auto group_it = groups_.find(group);
+  if (group_it == groups_.end()) {
+    return started;
+  }
+  for (StreamId id : group_it->second) {
+    auto stream_it = active_streams_.find(id);
+    if (stream_it == active_streams_.end()) {
+      continue;
+    }
+    const ActiveStream& active = stream_it->second;
+    started.msu = active.msu;
+    ReplStreamMember member;
+    member.stream = id;
+    member.disk = active.disk;
+    member.component = active.component;
+    member.content_item = active.content_item;
+    member.recording = active.recording;
+    auto hold = ledger_.FindHold(id);
+    if (hold.has_value()) {
+      member.rate = hold->rate;
+      member.space = hold->space;
+    }
+    member.offset = active.last_offset;
+    started.members.push_back(std::move(member));
+  }
+  return started;
+}
+
 
 void Coordinator::ResetVolatileState() {
   msus_.clear();
@@ -545,8 +520,7 @@ void Coordinator::ResetVolatileState() {
   active_streams_.clear();
   groups_.clear();
   group_requests_.clear();
-  pending_.clear();
-  repl_in_flight_.clear();
+  queue_.Clear();
   repl_ops_.clear();
   ledger_ = ResourceLedger();
 }
@@ -558,10 +532,7 @@ void Coordinator::StepDown() {
   // Flip the role first so OnConnClosed treats the closures below as
   // housekeeping, not MSU failures.
   role_ = HaRole::kStandby;
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "stepdown",
-                    "epoch " + std::to_string(epoch_));
-  }
+  TraceInstant("stepdown", "epoch " + std::to_string(epoch_));
   std::vector<TcpConn*> conns;
   for (auto& [name, msu] : msus_) {
     if (msu.conn != nullptr) {
@@ -588,10 +559,7 @@ void Coordinator::StepDown() {
     conn->Close();  // MSUs and clients redial and find the new primary
   }
   ResetVolatileState();  // the new primary's snapshot rebuilds our shadow
-  peer_joined_ = false;
-  pending_records_.clear();
-  oplog_appended_ = 0;
-  oplog_acked_ = 0;
+  ResetOplog();
   flush_cond_->NotifyAll();  // SyncReplicate waiters fail with "not primary"
   BecomeStandby();
 }
@@ -604,24 +572,14 @@ void Coordinator::TakeOver(int64_t new_epoch) {
   const SimTime gap = now - last_append_;
   epoch_ = new_epoch;
   role_ = HaRole::kPrimary;
-  joined_ = false;
-  peer_joined_ = false;
-  need_snapshot_ = true;
-  pending_records_.clear();
-  oplog_appended_ = 0;
-  oplog_acked_ = 0;
+  ResetOplog();
   ++takeovers_count_;
-  if (takeovers_metric_ != nullptr) {
-    takeovers_metric_->Add();
+  Bump(obs_.takeovers);
+  if (obs_.takeover_gap_us != nullptr) {
+    obs_.takeover_gap_us->Record(gap.micros());
   }
-  if (takeover_gap_us_ != nullptr) {
-    takeover_gap_us_->Record(gap.micros());
-  }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "takeover",
-                    "epoch " + std::to_string(new_epoch) + ", gap " +
-                        std::to_string(gap.micros()) + "us");
-  }
+  TraceInstant("takeover", "epoch " + std::to_string(new_epoch) + ", gap " +
+                               std::to_string(gap.micros()) + "us");
   CALLIOPE_LOG(kInfo, "coord") << node_->name() << ": taking over as primary, epoch "
                                << new_epoch << " (gap " << gap.micros() << "us)";
   if (repl_in_conn_ != nullptr) {
@@ -648,10 +606,7 @@ void Coordinator::TakeOver(int64_t new_epoch) {
   // Requests the old primary popped for a retry whose outcome never made the
   // log go back in line: better a duplicate failure notification than a
   // request the client believes is queued silently evaporating.
-  for (PendingRequest& request : repl_in_flight_) {
-    pending_.push_back(std::move(request));
-  }
-  repl_in_flight_.clear();
+  queue_.RequeueParked();
   // Groups whose MSU failover was in flight when the primary died: their
   // ReplStreamEnded records arrived but the restart on a survivor was never
   // logged. Re-run the failover pipeline for any group left with no streams.
@@ -660,17 +615,8 @@ void Coordinator::TakeOver(int64_t new_epoch) {
   std::vector<PendingRequest> orphaned;
   for (const auto& [group, request] : group_requests_) {
     auto members = groups_.find(group);
-    if (members != groups_.end() && !members->second.empty()) {
-      continue;
-    }
-    bool queued = false;
-    for (const PendingRequest& waiting : pending_) {
-      if (waiting.group == group) {
-        queued = true;
-        break;
-      }
-    }
-    if (!queued) {
+    const bool running = members != groups_.end() && !members->second.empty();
+    if (!running && !queue_.Contains(group)) {
       orphaned.push_back(request);
     }
   }
@@ -688,15 +634,6 @@ void Coordinator::TakeOver(int64_t new_epoch) {
   // queue-deadline sweep over the inherited queue.
   ScheduleExpirySweep();
   RetryPendingQueue();
-}
-
-void Coordinator::DropInFlight(GroupId group) {
-  for (auto it = repl_in_flight_.begin(); it != repl_in_flight_.end(); ++it) {
-    if (it->group == group) {
-      repl_in_flight_.erase(it);
-      return;
-    }
-  }
 }
 
 }  // namespace calliope

@@ -176,6 +176,7 @@ struct SizeVisitor {
         return Bytes(8) + RequestBytes(r.request);
       }
       Bytes operator()(const ReplPendingPopped&) const { return Bytes(16); }
+      Bytes operator()(const ReplPendingDropped&) const { return Bytes(16); }
       Bytes operator()(const ReplReplicationStarted& r) const {
         return Bytes(48) + StringBytes(r.content) + StringBytes(r.source_msu) +
                StringBytes(r.source_file) + StringBytes(r.target_msu) +

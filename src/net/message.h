@@ -674,8 +674,20 @@ struct ReplPendingPushed {
   PendingPlayRequest request;
 };
 
+// The primary popped a queued request to retry it; the standby parks it until
+// the outcome is logged (ReplGroupStarted, ReplPendingPushed or
+// ReplPendingDropped).
 struct ReplPendingPopped {
   ReplPendingPopped() = default;
+
+  GroupId group = 0;
+};
+
+// A queued or popped request left the queue for good (expired, shed, failed,
+// or its session closed): the standby forgets it, so a takeover does not
+// bring it back.
+struct ReplPendingDropped {
+  ReplPendingDropped() = default;
 
   GroupId group = 0;
 };
@@ -728,7 +740,7 @@ using ReplRecord =
     std::variant<ReplSessionOpened, ReplSessionClosed, ReplPortRegistered, ReplPortUnregistered,
                  ReplMsuUp, ReplMsuDown, ReplGroupStarted, ReplStreamEnded, ReplGroupEnded,
                  ReplPendingPushed, ReplPendingPopped, ReplReplicationStarted,
-                 ReplReplicationEnded, ReplProgress>;
+                 ReplReplicationEnded, ReplProgress, ReplPendingDropped>;
 
 // One log-shipping batch (doubles as the lease heartbeat when `records` is
 // empty). `snapshot` marks a full state install: the standby clears its

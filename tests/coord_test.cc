@@ -1,7 +1,13 @@
 // Unit tests for the Coordinator's database and scheduling logic (§2.2).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/calliope/calliope.h"
+#include "src/coord/admission_queue.h"
 #include "tests/test_util.h"
 
 namespace calliope {
@@ -338,6 +344,195 @@ TEST(CoordinatorTest, PermanentlyFailedQueuedRequestNotifiesClient) {
                        SimTime::Seconds(5)));
   // The admitted stream is untouched by the failed neighbor.
   EXPECT_FALSE((*viewer)->GroupTerminated(play_a->group));
+}
+
+
+// ---- AdmissionQueue: the pending queue and its policy (DESIGN §5.9) ----
+
+PendingPlayRequest Queued(GroupId group, AdmissionClass klass, bool record = false,
+                          const std::string& content = "m") {
+  PendingPlayRequest request;
+  request.group = group;
+  request.admission_class = klass;
+  request.record = record;
+  request.content = content;
+  return request;
+}
+
+std::vector<GroupId> Order(const AdmissionQueue& queue) {
+  std::vector<GroupId> groups;
+  for (const PendingPlayRequest& request : queue.requests()) {
+    groups.push_back(request.group);
+  }
+  return groups;
+}
+
+// Traffic control on: interactive first, bulk last, per-class caps/deadlines.
+AdmissionQueue::Policies ClassPolicies() {
+  AdmissionQueue::Policies policies;
+  policies[static_cast<size_t>(AdmissionClass::kInteractive)] = {0, 2, SimTime::Seconds(10)};
+  policies[static_cast<size_t>(AdmissionClass::kStandard)] = {1, 2, SimTime::Seconds(30)};
+  policies[static_cast<size_t>(AdmissionClass::kBulk)] = {2, 1, SimTime::Seconds(120)};
+  return policies;
+}
+
+TEST(AdmissionQueueTest, OneClassRetriesInArrivalOrderWhateverTheClass) {
+  // Traffic control off: a bulk record queued before a standard play is
+  // retried first — what keeps traffic-off runs byte-identical.
+  AdmissionQueue queue(AdmissionQueue::OneClass(SimTime::Seconds(600)));
+  const SimTime now = SimTime::Seconds(1);
+  ASSERT_TRUE(queue.Push(Queued(1, AdmissionClass::kBulk, /*record=*/true), now));
+  ASSERT_TRUE(queue.Push(Queued(2, AdmissionClass::kStandard), now));
+  ASSERT_TRUE(queue.Push(Queued(3, AdmissionClass::kInteractive), now));
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(queue.Push(Queued(10 + i, AdmissionClass::kBulk), now)) << "no cap";
+  }
+  queue.SortForRetry();
+  EXPECT_EQ(queue.PopFront().group, 1);
+  EXPECT_EQ(queue.PopFront().group, 2);
+  EXPECT_EQ(queue.PopFront().group, 3);
+  EXPECT_EQ(queue.count(AdmissionClass::kBulk), 100u);
+  // Every class shares the one deadline.
+  EXPECT_EQ(queue.NextExpiry(), SimTime::Seconds(601));
+}
+
+TEST(AdmissionQueueTest, ClassesRetryInRankOrderStableWithinAClass) {
+  AdmissionQueue::Policies policies = ClassPolicies();
+  for (AdmissionClassPolicy& policy : policies) {
+    policy.cap = 0;
+  }
+  AdmissionQueue queue(policies);
+  const SimTime now = SimTime::Seconds(1);
+  for (const auto& [group, klass] : std::vector<std::pair<GroupId, AdmissionClass>>{
+           {1, AdmissionClass::kBulk},
+           {2, AdmissionClass::kStandard},
+           {3, AdmissionClass::kInteractive},
+           {4, AdmissionClass::kStandard},
+           {5, AdmissionClass::kBulk},
+           {6, AdmissionClass::kInteractive}}) {
+    ASSERT_TRUE(queue.Push(Queued(group, klass), now));
+  }
+  queue.SortForRetry();
+  EXPECT_EQ(Order(queue), (std::vector<GroupId>{3, 6, 2, 4, 1, 5}));
+}
+
+TEST(AdmissionQueueTest, FullClassRefusesButARequeueKeepsItsSlotAndStamp) {
+  AdmissionQueue queue(ClassPolicies());
+  ASSERT_TRUE(queue.Push(Queued(1, AdmissionClass::kBulk), SimTime::Seconds(5)));
+  // The bulk class (cap 1) is full; other classes still have room.
+  EXPECT_FALSE(queue.Push(Queued(2, AdmissionClass::kBulk), SimTime::Seconds(6)));
+  EXPECT_TRUE(queue.Push(Queued(3, AdmissionClass::kStandard), SimTime::Seconds(6)));
+  EXPECT_EQ(queue.size(), 2u);
+
+  // A retry pops the request and puts it back: no cap check, and the first
+  // enqueue stamp survives, so its deadline does not restart.
+  PendingPlayRequest retried = queue.PopFront();
+  EXPECT_EQ(retried.enqueued_at, SimTime::Seconds(5));
+  ASSERT_TRUE(queue.Push(Queued(4, AdmissionClass::kBulk), SimTime::Seconds(7)));
+  ASSERT_TRUE(queue.Push(retried, SimTime::Seconds(8), /*requeue=*/true));
+  EXPECT_EQ(queue.count(AdmissionClass::kBulk), 2u);
+  EXPECT_EQ(queue.requests().back().group, 1);
+  EXPECT_EQ(queue.requests().back().enqueued_at, SimTime::Seconds(5));
+}
+
+TEST(AdmissionQueueTest, ReportsAndTakesTheEarliestDeadlines) {
+  AdmissionQueue queue(ClassPolicies());
+  EXPECT_FALSE(queue.NextExpiry().has_value());
+  ASSERT_TRUE(queue.Push(Queued(1, AdmissionClass::kBulk), SimTime::Seconds(1)));  // t=121
+  ASSERT_TRUE(queue.Push(Queued(2, AdmissionClass::kStandard), SimTime::Seconds(2)));  // 32
+  ASSERT_TRUE(queue.Push(Queued(3, AdmissionClass::kInteractive), SimTime::Seconds(25)));  // 35
+  ASSERT_TRUE(queue.Push(Queued(4, AdmissionClass::kInteractive), SimTime::Seconds(3)));  // 13
+  EXPECT_EQ(queue.NextExpiry(), SimTime::Seconds(13));
+
+  EXPECT_TRUE(queue.TakeExpired(SimTime::Seconds(12)).empty());
+  std::vector<PendingPlayRequest> expired = queue.TakeExpired(SimTime::Seconds(32));
+  ASSERT_EQ(expired.size(), 2u);
+  EXPECT_EQ(expired[0].group, 2);
+  EXPECT_EQ(expired[1].group, 4);
+  EXPECT_EQ(queue.NextExpiry(), SimTime::Seconds(35));
+
+  // Zero deadline: nothing ever expires; an unstamped request never does.
+  AdmissionQueue forever(AdmissionQueue::OneClass(SimTime()));
+  ASSERT_TRUE(forever.Push(Queued(5, AdmissionClass::kStandard), SimTime::Seconds(1)));
+  EXPECT_FALSE(forever.NextExpiry().has_value());
+  AdmissionQueue stamped(AdmissionQueue::OneClass(SimTime::Seconds(5)));
+  ASSERT_TRUE(stamped.Push(Queued(6, AdmissionClass::kStandard), SimTime()));
+  EXPECT_FALSE(stamped.NextExpiry().has_value());
+}
+
+TEST(AdmissionQueueTest, ShedsNewestFirstBulkBeforeStandardNeverInteractive) {
+  AdmissionQueue::Policies policies = ClassPolicies();
+  for (AdmissionClassPolicy& policy : policies) {
+    policy.cap = 0;
+  }
+  AdmissionQueue queue(policies);
+  const SimTime now = SimTime::Seconds(1);
+  ASSERT_TRUE(queue.Push(Queued(1, AdmissionClass::kStandard), now));
+  ASSERT_TRUE(queue.Push(Queued(2, AdmissionClass::kBulk), now));
+  ASSERT_TRUE(queue.Push(Queued(3, AdmissionClass::kInteractive), now));
+  ASSERT_TRUE(queue.Push(Queued(4, AdmissionClass::kStandard), now));
+  ASSERT_TRUE(queue.Push(Queued(5, AdmissionClass::kBulk), now));
+
+  std::vector<GroupId> shed;
+  for (AdmissionClass klass : kShedOrder) {
+    while (std::optional<PendingPlayRequest> victim = queue.TakeNewest(klass)) {
+      shed.push_back(victim->group);
+    }
+  }
+  EXPECT_EQ(shed, (std::vector<GroupId>{5, 2, 4, 1}));
+  EXPECT_EQ(Order(queue), (std::vector<GroupId>{3}));
+}
+
+TEST(AdmissionQueueTest, CountsByClassAndTitle) {
+  AdmissionQueue queue;
+  const SimTime now = SimTime::Seconds(1);
+  ASSERT_TRUE(queue.Push(Queued(1, AdmissionClass::kStandard, false, "a"), now));
+  ASSERT_TRUE(queue.Push(Queued(2, AdmissionClass::kBulk, /*record=*/true, "a"), now));
+  ASSERT_TRUE(queue.Push(Queued(3, AdmissionClass::kStandard, false, "b"), now));
+  ASSERT_TRUE(queue.Push(Queued(4, AdmissionClass::kStandard, false, "a"), now));
+  EXPECT_EQ(queue.QueuedPlays("a"), 2u);  // the recording does not count
+  EXPECT_EQ(queue.QueuedPlays("b"), 1u);
+  EXPECT_EQ(queue.QueuedPlays("c"), 0u);
+  EXPECT_EQ(queue.count(AdmissionClass::kStandard), 3u);
+  EXPECT_EQ(queue.count(AdmissionClass::kInteractive), 0u);
+  EXPECT_TRUE(queue.Contains(3));
+  EXPECT_FALSE(queue.Contains(7));
+}
+
+TEST(AdmissionQueueTest, StandbyParksResolvesAndRequeuesAtTakeover) {
+  // The standby mirrors the primary's records: pushes, pops for a retry
+  // (parked until the outcome is logged), and drops.
+  AdmissionQueue queue;
+  for (GroupId group = 1; group <= 5; ++group) {
+    PendingPlayRequest request = Queued(group, AdmissionClass::kStandard);
+    request.enqueued_at = SimTime::Seconds(group);
+    queue.Mirror(request);
+  }
+  EXPECT_EQ(queue.requests().front().enqueued_at, SimTime::Seconds(1));  // as shipped
+  for (GroupId group = 1; group <= 4; ++group) {
+    queue.Park(group);
+  }
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.parked_count(), 4u);
+
+  queue.Unpark(1);  // group 1's retry started its stream
+  PendingPlayRequest requeued = Queued(2, AdmissionClass::kStandard);
+  requeued.enqueued_at = SimTime::Seconds(2);
+  queue.Mirror(requeued);  // group 2's retry found no room: back in line
+  queue.Forget(3);         // group 3's retry failed for good
+  queue.Forget(5);         // group 5 expired while queued
+  EXPECT_EQ(Order(queue), (std::vector<GroupId>{2}));
+  EXPECT_EQ(queue.parked_count(), 1u);
+
+  // Takeover: only the unresolved retry (group 4) comes back.
+  queue.RequeueParked();
+  EXPECT_EQ(Order(queue), (std::vector<GroupId>{2, 4}));
+  EXPECT_EQ(queue.parked_count(), 0u);
+
+  queue.Park(2);
+  queue.Clear();
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.parked_count(), 0u);
 }
 
 }  // namespace

@@ -193,6 +193,49 @@ TEST(HaTest, QueuedRequestSurvivesTakeover) {
       << standby->ledger().CheckInvariants().ToString();
 }
 
+TEST(HaTest, DroppedQueuedRequestStaysDroppedAfterTakeover) {
+  // A queued request that expires on the primary is gone for good: the
+  // client was told. The standby must forget it too, or a takeover would
+  // queue it again and fail it a second time.
+  InstallationConfig config;
+  config.standby_coordinator = true;
+  config.msu_machine.disks_per_hba = {1};
+  config.coordinator.disk_budget = DataRate::MegabytesPerSec(0.2);
+  config.coordinator.pending_deadline = SimTime::Seconds(5);
+  TestCluster cluster(config);
+  ASSERT_TRUE(cluster.Boot().ok());
+  Coordinator* standby = cluster.installation().standby_coordinator();
+  ASSERT_NE(standby, nullptr);
+  for (const std::string name : {"a", "b"}) {
+    ASSERT_TRUE(
+        cluster.installation().LoadMpegMovie(name, SimTime::Seconds(60), 0, false, 0).ok());
+  }
+  auto client = cluster.AddConnectedClient("c");
+  ASSERT_TRUE(client.ok());
+  auto play_a = PlayOn(cluster.sim(), **client, "a", "tva");
+  ASSERT_TRUE(play_a.ok());
+  EXPECT_FALSE(play_a->queued);
+  auto play_b = PlayOn(cluster.sim(), **client, "b", "tvb");
+  ASSERT_TRUE(play_b.ok());
+  EXPECT_TRUE(play_b->queued);
+  EXPECT_EQ(standby->pending_request_count(), 1u);
+
+  ASSERT_TRUE(RunUntil(cluster.sim(), [&] { return cluster.coordinator().requests_expired() == 1; },
+                       SimTime::Seconds(10)));
+  ASSERT_TRUE(RunUntil(cluster.sim(), [&] { return (*client)->GroupTerminated(play_b->group); },
+                       SimTime::Seconds(5)));
+  EXPECT_EQ(standby->pending_request_count(), 0u);
+
+  cluster.coordinator().Crash();
+  ASSERT_TRUE(
+      RunUntil(cluster.sim(), [&] { return standby->is_primary(); }, SimTime::Seconds(10)));
+  EXPECT_EQ(standby->pending_request_count(), 0u);
+  cluster.sim().RunFor(SimTime::Seconds(10));
+  EXPECT_EQ(standby->requests_expired(), 0);
+  EXPECT_EQ(standby->requests_lost(), 0);
+  EXPECT_FALSE((*client)->GroupTerminated(play_a->group));
+}
+
 TEST(HaTest, TerminationNoteOutlivesThePrimary) {
   InstallationConfig config;
   config.standby_coordinator = true;
