@@ -64,8 +64,11 @@ int main() {
       (void)fb_builder.Add(packet);
     }
     const int disk = calliope.msu(0).fs().Lookup("premiere.mpg").value()->home_disk();
-    (void)calliope.msu(0).fs().InstallImage("premiere.ff", ff_builder.Finish(), false, disk);
-    (void)calliope.msu(0).fs().InstallImage("premiere.fb", fb_builder.Finish(), false, disk);
+    MsuFileSystem& fs = calliope.msu(0).fs();
+    (void)fs.InstallImage("premiere.ff", std::make_shared<const IbTreeFile>(ff_builder.Finish()),
+                          false, disk);
+    (void)fs.InstallImage("premiere.fb", std::make_shared<const IbTreeFile>(fb_builder.Finish()),
+                          false, disk);
   }
 
   // ...then tell the Coordinator about them over the admin session.

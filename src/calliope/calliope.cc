@@ -266,17 +266,14 @@ void Installation::AddDefaultCustomers() {
 }
 
 Status Installation::InstallFile(const std::string& file_name, const PacketSequence& packets,
-                                 size_t msu_index, int disk, IbTreeFile* out_image) {
+                                 size_t msu_index, int disk) {
   IbTreeBuilder builder;
   for (const MediaPacket& packet : packets) {
     CALLIOPE_RETURN_IF_ERROR(builder.Add(packet));
   }
-  IbTreeFile image = builder.Finish();
-  if (out_image != nullptr) {
-    *out_image = image;  // copy: caller inspects, file system keeps its own
-  }
-  auto installed = msus_.at(msu_index)->fs().InstallImage(file_name, std::move(image),
-                                                          config_.msu.striped_layout, disk);
+  auto installed = msus_.at(msu_index)->fs().InstallImage(
+      file_name, std::make_shared<const IbTreeFile>(builder.Finish()), config_.msu.striped_layout,
+      disk);
   return installed.status();
 }
 
@@ -315,9 +312,10 @@ Status Installation::ReplicateContent(const std::string& name, size_t msu_index,
     }
     CALLIOPE_ASSIGN_OR_RETURN(MsuFile * source_file,
                               msus_.at(source_index)->fs().Lookup(file_name));
-    IbTreeFile image = source_file->image();  // deep copy of the content image
+    // The replica adopts the source's sealed image; only the blocks are new.
     CALLIOPE_ASSIGN_OR_RETURN(MsuFile * copy, msus_.at(msu_index)->fs().InstallImage(
-                                                  file_name + copy_suffix, std::move(image),
+                                                  file_name + copy_suffix,
+                                                  source_file->shared_image(),
                                                   config_.msu.striped_layout, disk));
     if (home_disk != nullptr) {
       *home_disk = copy->home_disk();
@@ -340,7 +338,7 @@ Status Installation::ReplicateContent(const std::string& name, size_t msu_index,
 
 Status Installation::LoadPackets(const std::string& name, const std::string& type_name,
                                  const PacketSequence& packets, size_t msu_index, int disk) {
-  CALLIOPE_RETURN_IF_ERROR(InstallFile(name + ".dat", packets, msu_index, disk, nullptr));
+  CALLIOPE_RETURN_IF_ERROR(InstallFile(name + ".dat", packets, msu_index, disk));
   auto file = msus_.at(msu_index)->fs().Lookup(name + ".dat");
   ContentRecord record;
   record.name = name;
@@ -359,7 +357,7 @@ Status Installation::LoadMpegMovie(const std::string& name, SimTime duration, si
   const Bytes packet_size = Bytes::KiB(4);
 
   CALLIOPE_RETURN_IF_ERROR(
-      InstallFile(name + ".mpg", PacketizeCbr(stream, packet_size), msu_index, disk, nullptr));
+      InstallFile(name + ".mpg", PacketizeCbr(stream, packet_size), msu_index, disk));
   auto file = msus_.at(msu_index)->fs().Lookup(name + ".mpg");
   const int home_disk = (*file)->home_disk();
 
@@ -376,9 +374,9 @@ Status Installation::LoadMpegMovie(const std::string& name, SimTime duration, si
     const MpegStream ff = FilterFastForward(stream, encoder.gop_size);
     const MpegStream fb = FilterFastBackward(stream, encoder.gop_size);
     CALLIOPE_RETURN_IF_ERROR(
-        InstallFile(name + ".ff", PacketizeCbr(ff, packet_size), msu_index, home_disk, nullptr));
+        InstallFile(name + ".ff", PacketizeCbr(ff, packet_size), msu_index, home_disk));
     CALLIOPE_RETURN_IF_ERROR(
-        InstallFile(name + ".fb", PacketizeCbr(fb, packet_size), msu_index, home_disk, nullptr));
+        InstallFile(name + ".fb", PacketizeCbr(fb, packet_size), msu_index, home_disk));
     record.fast_forward_file = name + ".ff";
     record.fast_backward_file = name + ".fb";
   }

@@ -144,7 +144,7 @@ class Installation {
 
  private:
   Status InstallFile(const std::string& file_name, const PacketSequence& packets,
-                     size_t msu_index, int disk, IbTreeFile* out_image);
+                     size_t msu_index, int disk);
 
   InstallationConfig config_;
   Simulator sim_;

@@ -148,12 +148,20 @@ Co<Status> MsuFileSystem::WriteNextPage(MsuFile* file, int64_t page_index) {
   co_return OkStatus();
 }
 
-Status MsuFileSystem::CommitRecording(MsuFile* file, IbTreeFile image) {
+const IbTreeFile& MsuFile::image() const {
+  static const IbTreeFile kEmpty;
+  return image_ != nullptr ? *image_ : kEmpty;
+}
+
+Status MsuFileSystem::CommitRecording(MsuFile* file, std::shared_ptr<const IbTreeFile> image) {
   if (file->committed_) {
     return FailedPreconditionError("file already committed: " + file->name_);
   }
-  if (image.page_count() != file->blocks_.size()) {
-    return InvalidArgumentError("image has " + std::to_string(image.page_count()) +
+  if (image == nullptr) {
+    return InvalidArgumentError("no image to commit for " + file->name_);
+  }
+  if (image->page_count() != file->blocks_.size()) {
+    return InvalidArgumentError("image has " + std::to_string(image->page_count()) +
                                 " pages but " + std::to_string(file->blocks_.size()) +
                                 " were written");
   }
@@ -198,7 +206,7 @@ Co<Result<const DataPage*>> MsuFileSystem::ReadPage(MsuFile* file, size_t page_i
                         std::to_string(page_index) + " of " + file->name_));
     }
   }
-  co_return Result<const DataPage*>(&file->image_.page(page_index));
+  co_return Result<const DataPage*>(&file->image_->page(page_index));
 }
 
 Co<Result<std::vector<const DataPage*>>> MsuFileSystem::ReadPages(MsuFile* file, size_t first,
@@ -231,7 +239,7 @@ Co<Result<std::vector<const DataPage*>>> MsuFileSystem::ReadPages(MsuFile* file,
   Pages pages;
   pages.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    pages.push_back(&file->image_.page(first + i));
+    pages.push_back(&file->image_->page(first + i));
   }
   co_return Result<Pages>(std::move(pages));
 }
@@ -240,12 +248,17 @@ void MsuFileSystem::CorruptPageForTesting(MsuFile* file, size_t page_index) {
   file->corrupt_pages_.push_back(page_index);
 }
 
-Result<MsuFile*> MsuFileSystem::InstallImage(const std::string& name, IbTreeFile image,
+Result<MsuFile*> MsuFileSystem::InstallImage(const std::string& name,
+                                             std::shared_ptr<const IbTreeFile> image,
                                              bool striped, int preferred_disk) {
-  const Bytes size = kDataPageSize * static_cast<int64_t>(image.page_count());
+  if (image == nullptr) {
+    return InvalidArgumentError("no image to install for " + name);
+  }
+  const size_t page_count = image->page_count();
+  const Bytes size = kDataPageSize * static_cast<int64_t>(page_count);
   CALLIOPE_ASSIGN_OR_RETURN(MsuFile * file, Create(name, size, striped, preferred_disk));
-  file->blocks_.reserve(image.page_count());  // exact: an installed image never grows
-  for (size_t i = 0; i < image.page_count(); ++i) {
+  file->blocks_.reserve(page_count);  // exact: an installed image never grows
+  for (size_t i = 0; i < page_count; ++i) {
     auto addr = AllocateForPage(file, static_cast<int64_t>(i));
     if (!addr.ok()) {
       (void)Delete(name);

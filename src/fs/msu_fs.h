@@ -41,7 +41,10 @@ class MsuFile {
   const std::string& name() const { return name_; }
   bool striped() const { return striped_; }
   bool committed() const { return committed_; }
-  const IbTreeFile& image() const { return image_; }
+  const IbTreeFile& image() const;
+  // The sealed image itself: replicas and copy installs adopt this pointer
+  // rather than copying the image (it is immutable once committed).
+  const std::shared_ptr<const IbTreeFile>& shared_image() const { return image_; }
   const std::vector<BlockAddr>& blocks() const { return blocks_; }
   size_t pages_written() const { return blocks_.size(); }
   int64_t reserved_blocks() const { return reserved_blocks_; }
@@ -57,7 +60,7 @@ class MsuFile {
   int home_disk_ = 0;
   int64_t reserved_blocks_ = 0;
   std::vector<BlockAddr> blocks_;
-  IbTreeFile image_;
+  std::shared_ptr<const IbTreeFile> image_;  // null until committed
 };
 
 class MsuFileSystem {
@@ -84,7 +87,7 @@ class MsuFileSystem {
   // Seals a recording: attaches the final IB-tree image and releases any
   // unused reservation ("If the client overestimates the length of the
   // recording, the unused space will be returned to the system").
-  Status CommitRecording(MsuFile* file, IbTreeFile image);
+  Status CommitRecording(MsuFile* file, std::shared_ptr<const IbTreeFile> image);
 
   // Playback path: reads page `page_index`, charging the owning disk.
   // Returns the page contents (valid until the file is deleted).
@@ -99,9 +102,10 @@ class MsuFileSystem {
 
   // Loads pre-built content directly (admin bulk load / test fixtures):
   // allocates blocks for every page and installs the image without charging
-  // simulated time.
-  Result<MsuFile*> InstallImage(const std::string& name, IbTreeFile image, bool striped,
-                                int preferred_disk = -1);
+  // simulated time. The image may already back other files (replicas share
+  // one sealed image).
+  Result<MsuFile*> InstallImage(const std::string& name, std::shared_ptr<const IbTreeFile> image,
+                                bool striped, int preferred_disk = -1);
 
   size_t disk_count() const { return volumes_.size(); }
   Volume& volume(size_t i) { return *volumes_.at(i); }

@@ -1,6 +1,5 @@
 #include "src/ibtree/ibtree.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -132,21 +131,103 @@ Result<std::vector<MediaPacket>> DecodeRecordTable(const std::vector<std::byte>&
   return records;
 }
 
-Bytes DataPage::payload_bytes() const {
-  Bytes total;
-  for (const auto& record : records) {
-    total += record.size;
+// The progression test runs value by value in the column type's modular
+// arithmetic, so a timestamp run that wraps past 2^32 still counts.
+template <typename T>
+template <typename Get>
+void DataPage::Column<T>::Fit(const std::vector<MediaPacket>& records, Get get,
+                              size_t* stored_bytes) {
+  using U = std::make_unsigned_t<T>;
+  *this = Column{};
+  if (records.empty()) {
+    return;
   }
-  return total;
+  const auto head = static_cast<U>(get(records.front()));
+  const auto delta =
+      records.size() > 1 ? static_cast<U>(static_cast<U>(get(records[1])) - head) : U{0};
+  U expected = head;
+  for (const MediaPacket& record : records) {
+    if (static_cast<U>(get(record)) != expected) {
+      stored_at = static_cast<uint32_t>(*stored_bytes);
+      *stored_bytes += records.size() * sizeof(T);
+      return;
+    }
+    expected = static_cast<U>(expected + delta);
+  }
+  first = static_cast<T>(head);
+  step = static_cast<T>(delta);
+}
+
+template <typename T>
+template <typename Get>
+void DataPage::Column<T>::Store(const std::vector<MediaPacket>& records, Get get,
+                                std::vector<std::byte>& stored) const {
+  if (stored_at == kComputed) {
+    return;
+  }
+  std::byte* out = stored.data() + stored_at;
+  for (const MediaPacket& record : records) {
+    const auto value = static_cast<T>(get(record));
+    std::memcpy(out, &value, sizeof(T));
+    out += sizeof(T);
+  }
+}
+
+void DataPage::Seal(const std::vector<MediaPacket>& records, Bytes payload) {
+  count_ = static_cast<uint32_t>(records.size());
+  payload_ = static_cast<uint32_t>(payload.count());
+  const auto offset = [](const MediaPacket& r) { return r.delivery_offset.nanos(); };
+  const auto size = [](const MediaPacket& r) { return r.size.count(); };
+  const auto timestamp = [](const MediaPacket& r) { return r.protocol_timestamp; };
+  const auto flags = [](const MediaPacket& r) { return r.flags; };
+  // Fit every column first, so the stored ones take one exact allocation.
+  size_t stored_bytes = 0;
+  offsets_.Fit(records, offset, &stored_bytes);
+  sizes_.Fit(records, size, &stored_bytes);
+  timestamps_.Fit(records, timestamp, &stored_bytes);
+  flags_.Fit(records, flags, &stored_bytes);
+  stored_ = std::vector<std::byte>(stored_bytes);
+  offsets_.Store(records, offset, stored_);
+  sizes_.Store(records, size, stored_);
+  timestamps_.Store(records, timestamp, stored_);
+  flags_.Store(records, flags, stored_);
+}
+
+MediaPacket DataPage::record(size_t i) const {
+  assert(i < count_);
+  MediaPacket packet;
+  packet.delivery_offset = delivery_offset(i);
+  packet.size = Bytes(sizes_.At(stored_, i));
+  packet.flags = flags_.At(stored_, i);
+  packet.protocol_timestamp = timestamps_.At(stored_, i);
+  return packet;
+}
+
+size_t DataPage::LowerBound(SimTime target) const {
+  size_t lo = 0;
+  size_t hi = count_;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (delivery_offset(mid) < target) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 Bytes DataPage::fill_bytes() const {
-  Bytes fill = kDataPageHeaderSize + payload_bytes() +
-               kRecordOverhead * static_cast<int64_t>(records.size());
+  Bytes fill =
+      kDataPageHeaderSize + payload_bytes() + kRecordOverhead * static_cast<int64_t>(count_);
   if (embedded_internal.has_value()) {
     fill += kInternalPageSize;
   }
   return fill;
+}
+
+size_t DataPage::heap_bytes() const {
+  return stored_.capacity() + (embedded_internal.has_value() ? embedded_internal->capacity() : 0);
 }
 
 SimTime IbTreeFile::duration() const {
@@ -155,7 +236,7 @@ SimTime IbTreeFile::duration() const {
   }
   // Trailer pages hold no records; scan back for the last page with records.
   for (auto it = pages_.rbegin(); it != pages_.rend(); ++it) {
-    if (!it->records.empty()) {
+    if (it->record_count() != 0) {
       return it->last_offset();
     }
   }
@@ -173,9 +254,18 @@ Bytes IbTreeFile::total_payload() const {
 int64_t IbTreeFile::record_count() const {
   int64_t count = 0;
   for (const auto& page : pages_) {
-    count += static_cast<int64_t>(page.records.size());
+    count += static_cast<int64_t>(page.record_count());
   }
   return count;
+}
+
+size_t IbTreeFile::resident_bytes() const {
+  size_t bytes = sizeof(IbTreeFile) + pages_.capacity() * sizeof(DataPage) +
+                 root_.capacity() * sizeof(InternalEntry);
+  for (const auto& page : pages_) {
+    bytes += page.heap_bytes();
+  }
+  return bytes;
 }
 
 double IbTreeFile::internal_page_fraction() const {
@@ -232,16 +322,13 @@ Result<IbTreeFile::SeekResult> IbTreeFile::Seek(SimTime target) const {
 
   const InternalEntry leaf = pick_child(*level_entries);
   const auto& page = pages_.at(static_cast<size_t>(leaf.child_page));
-  const auto it = std::lower_bound(
-      page.records.begin(), page.records.end(), target,
-      [](const MediaPacket& record, SimTime t) { return record.delivery_offset < t; });
   result.page_index = static_cast<size_t>(leaf.child_page);
-  result.record_index = static_cast<size_t>(it - page.records.begin());
-  if (it == page.records.end()) {
+  result.record_index = page.LowerBound(target);
+  if (result.record_index == page.record_count()) {
     // Target falls between this page's last record and the next page's
     // first; advance to the next page with records.
     for (size_t next = result.page_index + 1; next < pages_.size(); ++next) {
-      if (!pages_[next].records.empty()) {
+      if (pages_[next].record_count() != 0) {
         result.page_index = next;
         result.record_index = 0;
         return result;
@@ -256,22 +343,38 @@ Status IbTreeBuilder::Add(const MediaPacket& packet) {
   if (packet.delivery_offset < last_offset_) {
     return InvalidArgumentError("packets must be added in delivery order");
   }
+  if (packet.size < Bytes(0)) {
+    return InvalidArgumentError("negative packet size");
+  }
   if (packet.size + kRecordOverhead + kDataPageHeaderSize + kInternalPageSize > kDataPageSize) {
     return InvalidArgumentError("packet larger than a data page");
   }
+  if (packet.flags > 0xFF) {
+    return InvalidArgumentError("packet flags wider than 8 bits");
+  }
   last_offset_ = packet.delivery_offset;
-  const Bytes needed = kRecordOverhead + packet.size;
-  if (current_dirty_ && current_.fill_bytes() + needed > kDataPageSize) {
+  // Running fill of the open page, the same sum DataPage::fill_bytes makes
+  // once the page is sealed.
+  Bytes fill = kDataPageHeaderSize + open_payload_ +
+               kRecordOverhead * static_cast<int64_t>(open_records_.size());
+  if (current_.embedded_internal.has_value()) {
+    fill += kInternalPageSize;
+  }
+  if (current_dirty_ && fill + kRecordOverhead + packet.size > kDataPageSize) {
     CloseDataPage();
   }
-  current_.records.push_back(packet);
+  open_records_.push_back(packet);
+  open_payload_ += packet.size;
   current_dirty_ = true;
   return OkStatus();
 }
 
 void IbTreeBuilder::CloseDataPage() {
   current_.index = static_cast<int64_t>(file_.pages_.size());
-  const bool had_records = !current_.records.empty();
+  current_.Seal(open_records_, open_payload_);
+  open_records_.clear();
+  open_payload_ = Bytes();
+  const bool had_records = current_.record_count() != 0;
   const InternalEntry entry{current_.first_offset().nanos(), current_.index};
   file_.pages_.push_back(std::move(current_));
   current_ = DataPage{};

@@ -915,9 +915,9 @@ Co<MessageBody> Msu::ServeReplicaPull(ReplPullRequest request) {
   const int64_t page_total = static_cast<int64_t>((*file)->pages_written());
   if (request.page_index + 1 >= page_total) {
     response.last = true;
-    // Deep copy: the image must not dangle if the source deletes the file
-    // while the response is still on the wire.
-    response.image = std::make_shared<const IbTreeFile>((*file)->image());
+    // The sealed image is immutable: share it. The reference keeps it alive
+    // if the source deletes the file while the response is on the wire.
+    response.image = (*file)->shared_image();
     // Source end done — the last page is served, free the read slot.
     if (it->second.slot_held) {
       duty_cycle_.Release(it->second.disk, it->second.rate);
@@ -1160,8 +1160,8 @@ Task Msu::RunReplicaPull(int64_t op_id) {
   if (!done.aborted && done.image != nullptr) {
     auto lookup = fs_.Lookup(done.replica_file);
     if (lookup.ok()) {
-      IbTreeFile image = *std::static_pointer_cast<const IbTreeFile>(done.image);
-      const Status committed = fs_.CommitRecording(*lookup, std::move(image));
+      const Status committed =
+          fs_.CommitRecording(*lookup, std::static_pointer_cast<const IbTreeFile>(done.image));
       if (committed.ok()) {
         installed = true;
       } else {

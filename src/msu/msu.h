@@ -463,7 +463,7 @@ class Msu {
   };
   // Paced pull loop for replica_pulls_[op_id]: one 256 KB page per
   // rate.TransferTime(page), landed on the local disk as it arrives and
-  // committed via the deep-copied image on the last page. Re-looks the op
+  // committed with the shared image off the last page. Re-looks the op
   // up after every await — aborts and crashes mutate the map underneath it.
   Task RunReplicaPull(int64_t op_id);
   // Stops a target-end pull: frees its duty slot immediately (preempting

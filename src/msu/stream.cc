@@ -155,13 +155,13 @@ SimTime MsuStream::CurrentMediaOffset() const {
   if (file_ == nullptr || file_->image().page_count() == 0) {
     return SimTime();
   }
-  if (!prefetched_.empty() && play_record_ < prefetched_.front()->records.size()) {
-    return prefetched_.front()->records[play_record_].delivery_offset;
+  if (!prefetched_.empty() && play_record_ < prefetched_.front()->record_count()) {
+    return prefetched_.front()->delivery_offset(play_record_);
   }
   if (play_page_ < file_->image().page_count()) {
     const DataPage& page = file_->image().page(play_page_);
-    if (play_record_ < page.records.size()) {
-      return page.records[play_record_].delivery_offset;
+    if (play_record_ < page.record_count()) {
+      return page.delivery_offset(play_record_);
     }
     return page.last_offset();
   }
@@ -193,14 +193,14 @@ Task MsuStream::PlaybackLoop() {
       continue;
     }
     const DataPage* page = prefetched_.front();
-    if (play_record_ >= page->records.size()) {
+    if (play_record_ >= page->record_count()) {
       prefetched_.pop_front();
       ++play_page_;
       play_record_ = 0;
       msu_->disk_work_[static_cast<size_t>(disk_)]->NotifyAll();
       continue;
     }
-    const MediaPacket record = page->records[play_record_];
+    const MediaPacket record = page->record(play_record_);
     if (rebase_needed_) {
       origin_ = record.delivery_offset;
       base_ = msu_->sim().Now();
@@ -483,9 +483,9 @@ Co<Status> MsuStream::FinishRecording() {
   while (record_write_in_flight_) {
     co_await record_pages_ready_.Wait();
   }
-  IbTreeFile image = builder_.Finish();
+  auto image = std::make_shared<const IbTreeFile>(builder_.Finish());
   // Drain the remaining closed pages.
-  while (pages_written_ < image.page_count()) {
+  while (pages_written_ < image->page_count()) {
     const Status written =
         co_await msu_->fs().WriteNextPage(file_, static_cast<int64_t>(pages_written_));
     if (!written.ok()) {

@@ -103,7 +103,7 @@ std::shared_ptr<MediaDatagramPayload> MsuStream::BuildFlowChunk(size_t first, si
   const size_t fanout = shared_ ? members_.size() : 1;
   Bytes total;
   for (size_t i = first; i < limit; ++i) {
-    const MediaPacket& record = page->records[i];
+    const MediaPacket record = page->record(i);
     const SimTime deadline = base_ + (record.delivery_offset - origin_);
     // The per-packet loop would have slept to the coarse tick at/after the
     // deadline and sent there; the tick rounding dominates its lateness.
@@ -116,7 +116,7 @@ std::shared_ptr<MediaDatagramPayload> MsuStream::BuildFlowChunk(size_t first, si
     }
   }
   payload->deadline = payload->flow_records.front().deadline;
-  payload->packet = page->records[first];
+  payload->packet = page->record(first);
   send_seq_ += payload->flow_count;
   *total_out = total;
   return payload;
@@ -129,8 +129,8 @@ void MsuStream::SettleFlowPage() {
   const DataPage* page = prefetched_.front();
   const SimTime now = msu_->sim().Now();
   size_t limit = play_record_;
-  while (limit < page->records.size() &&
-         base_ + (page->records[limit].delivery_offset - origin_) <= now) {
+  while (limit < page->record_count() &&
+         base_ + (page->delivery_offset(limit) - origin_) <= now) {
     ++limit;
   }
   if (limit == play_record_) {
@@ -237,18 +237,18 @@ Co<void> MsuStream::FlowStep() {
   }
 
   const DataPage* page = prefetched_.front();
-  if (play_record_ >= page->records.size()) {
+  if (play_record_ >= page->record_count()) {
     prefetched_.pop_front();
     ++play_page_;
     play_record_ = 0;
     co_return;
   }
   if (rebase_needed_) {
-    origin_ = page->records[play_record_].delivery_offset;
+    origin_ = page->delivery_offset(play_record_);
     base_ = msu_->sim().Now();
     rebase_needed_ = false;
   }
-  const SimTime last_deadline = base_ + (page->records.back().delivery_offset - origin_);
+  const SimTime last_deadline = base_ + (page->last_offset() - origin_);
   const SimTime wake_at = msu_->machine().timer().NextTickAtOrAfter(last_deadline);
   const int64_t gen_before = position_gen_;
   // Interruptible sleep to the page's last deadline: ONE event per page
@@ -285,14 +285,14 @@ Co<void> MsuStream::FlowStep() {
   // constant-rate schedule, so there is no stored-schedule surcharge.
   co_await msu_->machine().cpu().Run(
       msu_->machine().cpu().params().msu_packet_compute *
-          static_cast<int64_t>(page->records.size() - play_record_),
+          static_cast<int64_t>(page->record_count() - play_record_),
       0);
   // Chunked sends, each re-reading play_record_: SettleFlowPage may have
   // advanced it while a send (or the compute charge) was suspended.
-  while (play_record_ < page->records.size() && state_ == State::kRunning &&
+  while (play_record_ < page->record_count() && state_ == State::kRunning &&
          position_gen_ == gen_before && fidelity_ == Fidelity::kFlow) {
     const size_t first_record = play_record_;
-    const size_t limit = std::min(first_record + FlowChunkCap(), page->records.size());
+    const size_t limit = std::min(first_record + FlowChunkCap(), page->record_count());
     const auto count = static_cast<int64_t>(limit - first_record);
     Bytes total;
     auto payload = BuildFlowChunk(first_record, limit, &total);

@@ -429,8 +429,9 @@ struct ReplPullResponse {
   std::string error;
   Bytes page_bytes;  // payload bytes charged to the wire
   bool last = false;
-  // With `last`: the file's sealed IB-tree image, deep-copied so it cannot
-  // dangle if the source deletes the file mid-flight. Opaque to the fabric
+  // With `last`: the file's sealed IB-tree image. Shared, not copied: the
+  // image is immutable, and the reference keeps it alive if the source
+  // deletes the file while the response is in flight. Opaque to the fabric
   // (net does not depend on ibtree; both ends are MSU code and cast it),
   // same idiom as Datagram::payload.
   std::shared_ptr<const void> image;

@@ -26,12 +26,12 @@ struct FsFixture {
     fs = std::make_unique<MsuFileSystem>(std::move(disks));
   }
 
-  IbTreeFile MakeImage(SimTime duration) {
+  std::shared_ptr<const IbTreeFile> MakeImage(SimTime duration) {
     IbTreeBuilder builder;
     for (const MediaPacket& packet : GenerateCbr(CbrSourceConfig{}, duration)) {
       (void)builder.Add(packet);
     }
-    return builder.Finish();
+    return std::make_shared<const IbTreeFile>(builder.Finish());
   }
 };
 
@@ -95,8 +95,8 @@ TEST(FsTest, CreateFailsWhenDiskFull) {
 
 TEST(FsTest, InstallImageMakesContentReadable) {
   FsFixture fx;
-  IbTreeFile image = fx.MakeImage(SimTime::Seconds(30));
-  const size_t pages = image.page_count();
+  auto image = fx.MakeImage(SimTime::Seconds(30));
+  const size_t pages = image->page_count();
   auto file = fx.fs->InstallImage("movie", std::move(image), false, 0);
   ASSERT_TRUE(file.ok());
   EXPECT_TRUE((*file)->committed());
@@ -106,7 +106,7 @@ TEST(FsTest, InstallImageMakesContentReadable) {
   Collect(fx.fs->ReadPage(*file, 0), &page);
   ASSERT_TRUE(RunUntil(fx.sim, [&] { return page.done(); }, SimTime::Seconds(2)));
   ASSERT_TRUE(page.value->ok());
-  EXPECT_FALSE((**page.value)->records.empty());
+  EXPECT_NE((**page.value)->record_count(), 0u);
 }
 
 TEST(FsTest, ReadPageOutOfRangeFails) {
@@ -121,12 +121,12 @@ TEST(FsTest, ReadPageOutOfRangeFails) {
 
 TEST(FsTest, WritePagesInOrderThenCommit) {
   FsFixture fx;
-  IbTreeFile image = fx.MakeImage(SimTime::Seconds(10));
-  const Bytes estimated = kDataPageSize * static_cast<int64_t>(image.page_count() + 5);
+  auto image = fx.MakeImage(SimTime::Seconds(10));
+  const Bytes estimated = kDataPageSize * static_cast<int64_t>(image->page_count() + 5);
   auto file = fx.fs->Create("rec", estimated, false, 0);
   ASSERT_TRUE(file.ok());
 
-  for (size_t p = 0; p < image.page_count(); ++p) {
+  for (size_t p = 0; p < image->page_count(); ++p) {
     CoResult<Status> wrote;
     Collect(fx.fs->WriteNextPage(*file, static_cast<int64_t>(p)), &wrote);
     ASSERT_TRUE(RunUntil(fx.sim, [&] { return wrote.done(); }, SimTime::Seconds(5)));
@@ -145,14 +145,13 @@ TEST(FsTest, WritePagesInOrderThenCommit) {
             (kDataPageSize * 5).count());
   EXPECT_TRUE((*file)->committed());
   // Double commit refused.
-  IbTreeFile empty;
-  EXPECT_EQ(fx.fs->CommitRecording(*file, std::move(empty)).code(),
+  EXPECT_EQ(fx.fs->CommitRecording(*file, std::make_shared<const IbTreeFile>()).code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(FsTest, CommitRejectsPageCountMismatch) {
   FsFixture fx;
-  IbTreeFile image = fx.MakeImage(SimTime::Seconds(10));
+  auto image = fx.MakeImage(SimTime::Seconds(10));
   auto file = fx.fs->Create("rec", Bytes::MiB(50), false, 0);
   ASSERT_TRUE(file.ok());
   // No pages written but image has pages.
@@ -162,8 +161,7 @@ TEST(FsTest, CommitRejectsPageCountMismatch) {
 
 TEST(FsTest, StripedFilesSpreadAcrossDisks) {
   FsFixture fx({2, 2});
-  IbTreeFile image = fx.MakeImage(SimTime::Seconds(60));
-  auto file = fx.fs->InstallImage("movie", std::move(image), /*striped=*/true);
+  auto file = fx.fs->InstallImage("movie", fx.MakeImage(SimTime::Seconds(60)), /*striped=*/true);
   ASSERT_TRUE(file.ok());
   ASSERT_GE((*file)->blocks().size(), 8u);
   // "consecutive blocks are on 'adjacent' disks"

@@ -35,8 +35,8 @@ struct MsuFixture {
     for (const MediaPacket& packet : GenerateCbr(CbrSourceConfig{}, duration)) {
       (void)builder.Add(packet);
     }
-    IbTreeFile image = builder.Finish();
-    const int64_t records = image.record_count();
+    auto image = std::make_shared<const IbTreeFile>(builder.Finish());
+    const int64_t records = image->record_count();
     EXPECT_TRUE(msu->fs().InstallImage(name, std::move(image), false, disk).ok());
     return records;
   }
@@ -217,8 +217,9 @@ TEST(MsuTest, RecordingBuildsCommittedFileWithStoredSchedule) {
   EXPECT_NEAR((*file)->image().duration().seconds(), 8.0, 1.0);
   int64_t control = 0;
   for (size_t p = 0; p < (*file)->image().page_count(); ++p) {
-    for (const MediaPacket& record : (*file)->image().page(p).records) {
-      if (record.flags & kPacketControl) {
+    const DataPage& page = (*file)->image().page(p);
+    for (size_t r = 0; r < page.record_count(); ++r) {
+      if (page.record(r).flags & kPacketControl) {
         ++control;
       }
     }
@@ -235,7 +236,10 @@ TEST(MsuTest, FastBackwardMapsPositionsBothWays) {
     for (const MediaPacket& packet : PacketizeCbr(s, Bytes::KiB(4))) {
       (void)builder.Add(packet);
     }
-    ASSERT_TRUE(fx.msu->fs().InstallImage(name, builder.Finish(), false, 0).ok());
+    ASSERT_TRUE(fx.msu->fs()
+                    .InstallImage(name, std::make_shared<const IbTreeFile>(builder.Finish()),
+                                  false, 0)
+                    .ok());
   };
   install("movie", stream);
   install("movie.ff", FilterFastForward(stream, 15));
@@ -280,8 +284,10 @@ TEST(MsuTest, FastBackwardAtStartEndsTheStream) {
        PacketizeCbr(FilterFastBackward(stream, 15), Bytes::KiB(4))) {
     (void)fb_builder.Add(packet);
   }
-  ASSERT_TRUE(fx.msu->fs().InstallImage("movie", movie_builder.Finish(), false, 0).ok());
-  ASSERT_TRUE(fx.msu->fs().InstallImage("movie.fb", fb_builder.Finish(), false, 0).ok());
+  ASSERT_TRUE(fx.msu->fs().InstallImage(
+      "movie", std::make_shared<const IbTreeFile>(movie_builder.Finish()), false, 0).ok());
+  ASSERT_TRUE(fx.msu->fs().InstallImage(
+      "movie.fb", std::make_shared<const IbTreeFile>(fb_builder.Finish()), false, 0).ok());
   (void)fx.client_node->BindUdp(9000, [](const Datagram&) {});
 
   MsuStartStream request = fx.PlayRequest("movie", 1, 1);
